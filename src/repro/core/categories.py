@@ -123,11 +123,30 @@ def _has_repetition(original: str, perturbed: str) -> bool:
 
 
 def _has_accent(perturbed: str) -> bool:
+    # ASCII carries no diacritics, so folding it is the identity.
+    if perturbed.isascii():
+        return False
     return fold_text(perturbed) != perturbed
 
 
+def _is_adjacent_swap(original_lower: str, perturbed_lower: str) -> bool:
+    """For a pair at OSA distance 1: whether that one edit is a swap.
+
+    A swap leaves the length alone and mismatches exactly two positions; a
+    substitution mismatches one, and an insertion or deletion changes the
+    length.
+    """
+    return len(original_lower) == len(perturbed_lower) and (
+        sum(map(str.__ne__, original_lower, perturbed_lower)) == 2
+    )
+
+
 def categorize_perturbation(
-    original: str, perturbed: str, use_transpositions: bool = True
+    original: str,
+    perturbed: str,
+    use_transpositions: bool = True,
+    *,
+    distance: int | None = None,
 ) -> PerturbationCategory:
     """Classify how ``perturbed`` was derived from ``original``.
 
@@ -147,6 +166,11 @@ def categorize_perturbation(
     ``config.use_transpositions`` here label swap perturbations consistently
     with the distance policy Look Up / SMS / Normalization filtered them
     under.
+
+    ``distance`` is for callers that already hold the exact distance between
+    ``original.lower()`` and ``perturbed.lower()`` under that same policy
+    (OSA with transpositions, Levenshtein without), as Look Up does after
+    matching.  It spares the distance tables and never changes the label.
 
     >>> categorize_perturbation("democrats", "democRATs")
     <PerturbationCategory.EMPHASIS_CAPITALIZATION: 'emphasis_capitalization'>
@@ -190,12 +214,20 @@ def categorize_perturbation(
         if stripped == original_lower:
             return PerturbationCategory.EMOTICON_DECORATION
 
-    distance = levenshtein_distance(original_lower, perturbed_lower)
-    if use_transpositions:
-        osa_distance = damerau_levenshtein_distance(original_lower, perturbed_lower)
-        # osa == 1 with lev == 2 is exactly one adjacent swap; every other
-        # osa == 1 pair also has lev == 1 and falls through below.
-        if osa_distance == 1 and distance == 2:
+    if distance is None:
+        distance = levenshtein_distance(original_lower, perturbed_lower)
+        if use_transpositions:
+            osa_distance = damerau_levenshtein_distance(original_lower, perturbed_lower)
+            # osa == 1 with lev == 2 is exactly one adjacent swap; every other
+            # osa == 1 pair also has lev == 1 and falls through below.
+            if osa_distance == 1 and distance == 2:
+                return PerturbationCategory.ADJACENT_SWAP
+    elif use_transpositions and distance == 1:
+        # ``distance`` is OSA here.  At OSA 1 the one edit is either a swap
+        # (Levenshtein 2) or a single-character edit (Levenshtein 1); OSA 0
+        # means Levenshtein 0 and OSA >= 2 means Levenshtein >= 2, so the
+        # tail below answers as it would on the Levenshtein distance.
+        if _is_adjacent_swap(original_lower, perturbed_lower):
             return PerturbationCategory.ADJACENT_SWAP
 
     if distance == 1:

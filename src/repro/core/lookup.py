@@ -166,21 +166,30 @@ class LookupEngine:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _finish_match(
-        query: str, entry: DictionaryEntry, distance: int, transpositions: bool
+        query: str,
+        entry: DictionaryEntry,
+        distance: int,
+        transpositions: bool,
+        canonical_distance: bool,
     ) -> PerturbationMatch:
         """Build the match record once the edit distance is known.
 
         The categorizer runs in the same canonical-distance mode the match
         was filtered under, so a swap perturbation admitted as one OSA edit
         is labelled ``adjacent_swap`` while the same pair admitted under
-        plain Levenshtein (two edits) reports ``mixed``.
+        plain Levenshtein (two edits) reports ``mixed``.  A match filtered
+        on lowered raw spellings hands the categorizer its exact distance;
+        a canonical-form distance is a different quantity and is not passed.
         """
         is_original = entry.token == query
         category = (
             PerturbationCategory.IDENTICAL
             if is_original
             else categorize_perturbation(
-                query, entry.token, use_transpositions=transpositions
+                query,
+                entry.token,
+                use_transpositions=transpositions,
+                distance=None if canonical_distance else distance,
             )
         )
         return PerturbationMatch(
@@ -279,7 +288,9 @@ class LookupEngine:
         for entry, distance in scored:
             if distance is None:
                 continue
-            match = self._finish_match(query, entry, distance, transpositions)
+            match = self._finish_match(
+                query, entry, distance, transpositions, canonical_distance
+            )
             key = match.token if case_sensitive else match.token.lower()
             existing = matches.get(key)
             if existing is None:

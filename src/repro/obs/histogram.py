@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 from typing import Sequence
 
 __all__ = ["DEFAULT_BUCKETS", "Histogram"]
@@ -87,20 +88,11 @@ class Histogram:
         self._max = -math.inf
         self._lock = lock if lock is not None else threading.Lock()
 
-    def _bucket_index(self, value: float) -> int:
-        lo, hi = 0, len(self.bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= self.bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
     def observe(self, value: float) -> None:
         """Record one sample."""
         value = float(value)
-        index = self._bucket_index(value)
+        # The first bound >= value; past the last bound is the +Inf bucket.
+        index = bisect_left(self.bounds, value)
         with self._lock:
             self._counts[index] += 1
             self._sums[index] += value

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Mapping
 
 from ..analysis.sanitizer import tracked_lock
 from .histogram import Histogram
-from .trace import TraceContext, current_trace
+from .trace import _CURRENT_TRACE, TraceContext, current_trace
 
 __all__ = [
     "ENV_VAR",
@@ -73,12 +73,12 @@ LabelPairs = tuple[tuple[str, str], ...]
 
 
 class _Span:
-    """Times one stage; records into the registry (and active trace) on exit."""
+    """Times one stage; records into its histogram (and active trace) on exit."""
 
-    __slots__ = ("_registry", "_stage", "_started")
+    __slots__ = ("_histogram", "_stage", "_started")
 
-    def __init__(self, registry: "MetricsRegistry", stage: str) -> None:
-        self._registry = registry
+    def __init__(self, histogram: Histogram, stage: str) -> None:
+        self._histogram = histogram
         self._stage = stage
         self._started = 0.0
 
@@ -87,7 +87,11 @@ class _Span:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self._registry.observe_stage(self._stage, time.perf_counter() - self._started)
+        seconds = time.perf_counter() - self._started
+        self._histogram.observe(seconds)
+        trace = _CURRENT_TRACE.get()
+        if trace is not None:
+            trace.add_stage(self._stage, seconds)
         return False
 
 
@@ -101,6 +105,9 @@ class MetricsRegistry:
         self._counters: dict[tuple[str, LabelPairs], float] = {}
         self._gauges: dict[tuple[str, LabelPairs], float] = {}
         self._histograms: dict[tuple[str, LabelPairs], Histogram] = {}
+        #: Stage name -> its ``cryptext_stage_seconds`` histogram, so a span
+        #: finds its histogram with one dict read instead of a key rebuild.
+        self._stage_histograms: dict[str, Histogram] = {}
         self._slow_queries: deque[dict[str, object]] = deque(maxlen=SLOW_LOG_CAPACITY)
         self._slow_query_count = 0
 
@@ -139,6 +146,7 @@ class MetricsRegistry:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
+            self._stage_histograms.clear()
             self._slow_queries.clear()
             self._slow_query_count = 0
 
@@ -172,13 +180,11 @@ class MetricsRegistry:
         Call sites guard with ``if OBS.armed:`` so the disarmed path never
         constructs a span; the span itself does not re-check.
         """
-        return _Span(self, stage)
-
-    def observe_stage(self, stage: str, seconds: float) -> None:
-        self.histogram(STAGE_SECONDS, (("stage", stage),)).observe(seconds)
-        trace = current_trace()
-        if trace is not None:
-            trace.add_stage(stage, seconds)
+        hist = self._stage_histograms.get(stage)
+        if hist is None:
+            hist = self.histogram(STAGE_SECONDS, (("stage", stage),))
+            self._stage_histograms[stage] = hist
+        return _Span(hist, stage)
 
     # -- request tracing ------------------------------------------------
 

@@ -6,6 +6,9 @@ repeated Look Up / Normalization requests are served from memory (paper
 
 * ``get`` / ``set`` with a per-entry time-to-live;
 * bounded capacity with least-recently-used eviction;
+* lazy expiry: an entry expires when it is read after its deadline, and an
+  entry that is never read again is evicted in LRU order like any other,
+  so a ``set`` never scans the cache for expired entries;
 * hit/miss/eviction statistics (used by the cache ablation benchmark);
 * an injectable clock so tests can control expiry deterministically;
 * optional *tags* on entries so groups of related keys can be invalidated
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, TypeVar
 
 from ..analysis.sanitizer import tracked_rlock
@@ -70,12 +73,16 @@ class CacheStats:
 class _Entry:
     value: Any
     expires_at: float
-    created_at: float = field(default=0.0)
     tags: tuple[Hashable, ...] = ()
 
 
 class TTLCache:
     """Bounded key/value cache with per-entry TTL, LRU eviction and tags.
+
+    Expiry is lazy: ``get`` drops an entry it finds past its deadline, and
+    an entry that is never read again is evicted in LRU order once the
+    cache is full.  ``len`` and :meth:`keys` may therefore count expired
+    entries; no read ever returns one.
 
     Parameters
     ----------
@@ -134,12 +141,6 @@ class TTLCache:
             self._unlink_tags(key, entry)
         return entry
 
-    def _purge_expired(self, now: float) -> None:
-        doomed = [key for key, entry in self._entries.items() if entry.expires_at <= now]
-        for key in doomed:
-            self._remove(key)
-            self.stats.expirations += 1
-
     def set(
         self,
         key: Hashable,
@@ -157,7 +158,6 @@ class TTLCache:
         frozen_tags = tuple(tags)
         with self._lock:
             now = self._clock()
-            self._purge_expired(now)
             lifetime = self.default_ttl if ttl is None else ttl
             if key in self._entries:
                 self._remove(key)
@@ -166,7 +166,7 @@ class TTLCache:
                 self._unlink_tags(oldest_key, oldest_entry)
                 self.stats.evictions += 1
             self._entries[key] = _Entry(
-                value=value, expires_at=now + lifetime, created_at=now, tags=frozen_tags
+                value=value, expires_at=now + lifetime, tags=frozen_tags
             )
             for tag in frozen_tags:
                 self._tag_index.setdefault(tag, set()).add(key)
@@ -274,7 +274,11 @@ class TTLCache:
             self._tag_index.clear()
 
     def keys(self) -> tuple[Hashable, ...]:
-        """Currently stored (possibly-expired-but-not-yet-purged) keys."""
+        """Currently stored keys, in LRU order (least recently used first).
+
+        An expired entry stays here until a ``get`` reads it (and drops it)
+        or LRU eviction reclaims it.
+        """
         with self._lock:
             return tuple(self._entries)
 

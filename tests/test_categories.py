@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.categories import (
     HUMAN_DISTINCTIVE_CATEGORIES,
@@ -10,6 +11,26 @@ from repro.core.categories import (
     categorize_perturbation,
     category_counts,
 )
+from repro.core.edit_distance import bounded_levenshtein, bounded_osa
+
+#: Letters in both cases, leet digits and symbols, word-internal separators,
+#: accented letters (precomposed and combining), emoticon characters, a
+#: zero-width space, and a capital whose lowercase form is two characters.
+ALPHABET = "abeilorsABEILORS0134@$!|-_.éëñḋ\u0301:;()<^\u200bİ"
+
+words = st.text(alphabet=ALPHABET, max_size=9)
+
+
+@st.composite
+def near_pairs(draw):
+    """A word and a copy of it one adjacent swap or one substitution away."""
+    word = draw(st.text(alphabet=ALPHABET, min_size=2, max_size=9))
+    index = draw(st.integers(0, len(word) - 2))
+    if draw(st.booleans()):
+        other = word[:index] + word[index + 1] + word[index] + word[index + 2 :]
+    else:
+        other = word[:index] + draw(st.sampled_from(ALPHABET)) + word[index + 1 :]
+    return (word, other) if draw(st.booleans()) else (other, word)
 
 
 class TestPaperStrategyExamples:
@@ -33,6 +54,9 @@ class TestPaperStrategyExamples:
     )
     def test_category(self, original, perturbed, expected):
         assert categorize_perturbation(original, perturbed) == expected
+        # Look Up hands over the kernel's OSA distance; the label holds.
+        distance = bounded_osa(original.lower(), perturbed.lower(), 3)
+        assert categorize_perturbation(original, perturbed, distance=distance) == expected
 
     def test_identical_pair(self):
         assert (
@@ -92,3 +116,23 @@ class TestCategoryCounts:
 
     def test_counts_empty_input(self):
         assert category_counts([]) == {}
+
+
+class TestGivenDistance:
+    """A caller-supplied policy distance only skips work, never relabels."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        pair=st.one_of(st.tuples(words, words), near_pairs()),
+        transpositions=st.booleans(),
+        bound=st.integers(0, 3),
+    )
+    def test_passing_the_distance_never_changes_a_label(self, pair, transpositions, bound):
+        original, perturbed = pair
+        bounded = bounded_osa if transpositions else bounded_levenshtein
+        distance = bounded(original.lower(), perturbed.lower(), bound)
+        if distance is None or original == perturbed:
+            return
+        assert categorize_perturbation(
+            original, perturbed, transpositions, distance=distance
+        ) == categorize_perturbation(original, perturbed, transpositions)

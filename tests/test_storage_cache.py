@@ -119,6 +119,22 @@ class TestEviction:
             cache.set(f"key{index}", index)
         assert len(cache) <= 3
 
+    def test_expired_entries_are_evicted_not_scanned(self):
+        # Expiry is lazy: a store into a full cache evicts the LRU entry
+        # even when every entry has expired, and no expiration is counted
+        # until a read finds one.
+        clock = FakeClock()
+        cache = TTLCache(max_entries=2, default_ttl=1, clock=clock)
+        cache.set("a", 1)
+        cache.set("b", 2)
+        clock.advance(2)
+        cache.set("c", 3)
+        assert cache.stats.evictions == 1
+        assert cache.stats.expirations == 0
+        assert cache.get("a") is None
+        assert cache.get("b") is None
+        assert cache.get("c") == 3
+
     def test_updating_existing_key_does_not_evict(self):
         cache = TTLCache(max_entries=2, default_ttl=100)
         cache.set("a", 1)
