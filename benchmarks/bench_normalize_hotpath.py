@@ -127,25 +127,29 @@ def build_queries(num: int, rng: random.Random) -> list[str]:
     return queries
 
 
-class _FixedBucketNormalizer(Normalizer):
-    """A ``Normalizer`` whose candidate retrieval is served from one bucket.
+class _FixedBucketDictionary(PerturbationDictionary):
+    """A dictionary whose every sound bucket is one synthetic bucket.
 
-    Only the two bucket-source seams are overridden; encoding, distance
-    policy dispatch, matching, dedup and ranking run the production code in
-    ``_retrieve_candidates`` unchanged.
+    Only the two bucket sources the normalizer reads are overridden;
+    encoding, distance policy dispatch, matching, dedup and ranking run the
+    production code in ``Normalizer._retrieve_candidates`` unchanged.
     """
 
     def __init__(self, config: CrypTextConfig, entries: list[DictionaryEntry]) -> None:
-        super().__init__(PerturbationDictionary(config=config), config=config)
-        self._bench_entries = entries
+        super().__init__(config=config)
         self._bench_english = [entry for entry in entries if entry.is_word]
         self._bench_compiled = CompiledBucket(entries)
 
-    def _candidate_entries(self, soundex_key: str):
+    def english_words_for_key(self, key: str, phonetic_level: int | None = None):
         return self._bench_english
 
-    def _compiled_candidate_bucket(self, soundex_key: str) -> CompiledBucket:
+    def compiled_bucket(self, key: str, phonetic_level: int | None = None) -> CompiledBucket:
         return self._bench_compiled
+
+
+def _fixed_bucket_normalizer(config: CrypTextConfig, entries: list[DictionaryEntry]) -> Normalizer:
+    """A ``Normalizer`` whose candidate retrieval is served from one bucket."""
+    return Normalizer(_FixedBucketDictionary(config, entries), config=config)
 
 
 def time_strategy(run, queries: list[str], repetitions: int) -> float:
@@ -182,10 +186,10 @@ def run_benchmark(
                     use_transpositions=transpositions,
                     cache_enabled=False,
                 )
-                compiled = _FixedBucketNormalizer(
+                compiled = _fixed_bucket_normalizer(
                     config.with_overrides(compiled_buckets=True), entries
                 )
-                linear = _FixedBucketNormalizer(
+                linear = _fixed_bucket_normalizer(
                     config.with_overrides(compiled_buckets=False), entries
                 )
                 for query in queries:

@@ -63,14 +63,13 @@ from .core import (
     similarity_ratio,
     soundex_key,
 )
-from .batch import BatchEngine, EnrichmentReport, ShardedPhoneticIndex
+from .batch import BatchEngine, EnrichmentReport
 
 __version__ = "1.1.0"
 
 __all__ = [
     "BatchEngine",
     "EnrichmentReport",
-    "ShardedPhoneticIndex",
     "CrypTextConfig",
     "DEFAULT_CONFIG",
     "CrypTextError",

@@ -1,10 +1,10 @@
 """The project's declared lock-order hierarchy and analysis allowlists.
 
-Thirteen modules hold :class:`threading.Lock`/``RLock``s today — across the
-dictionary write path, the WAL, delta snapshots, follower tailing,
-breaker-aware routing, and the batch shards — and PRs 5-7 each spent review
-passes hand-hunting lock-order and IO-under-lock bugs.  This module writes
-the hard-won acquisition order down *once*, as data, so that
+A dozen modules hold :class:`threading.Lock`/``RLock``s today — across the
+dictionary write path, the WAL, delta snapshots, follower tailing, and
+breaker-aware routing — and PRs 5-7 each spent review passes hand-hunting
+lock-order and IO-under-lock bugs.  This module writes the hard-won
+acquisition order down *once*, as data, so that
 
 * the static lint pass (:mod:`repro.analysis.lint`) can reject a ``with``
   nesting that acquires locks against the declared order, and
@@ -13,8 +13,8 @@ the hard-won acquisition order down *once*, as data, so that
 
 **The rule:** a thread holding a lock may only acquire locks of strictly
 greater rank.  Smaller rank = outer lock.  Locks are identified by *name*
-(one name per lock role, not per instance — every shard's bucket lock
-shares the rank of ``shard.bucket``), and every lock constructed through
+(one name per lock role, not per instance — every query cache's lock
+shares the rank of ``storage.cache``), and every lock constructed through
 :func:`repro.analysis.sanitizer.tracked_lock` /
 :func:`~repro.analysis.sanitizer.tracked_rlock` carries its name in the
 source, which is also how the linter learns which attribute holds which
@@ -30,17 +30,15 @@ The declared order (outermost first), as established by PRs 1-7:
     breaker scans.
 4.  ``follower.state`` wraps the whole replay path: tail reads, then
     ``dictionary.write`` via ``apply_wal_record``.
-5.  ``batch.enrich`` wraps shard refreshes and cache invalidation.
-6.  ``dictionary.snapshot`` serializes saves and wraps ``dictionary.write``.
-7.  ``dictionary.write`` journals before applying: it wraps
-    ``wal.segment`` (journal-before-apply), ``storage.collection``, and —
-    via the observer notifications inside ``learn_batch``'s reentrant
-    hold — the sharded index's pending-keys lock.
-8.  The shard trio: ``shard.build`` > ``shard.pending`` > ``shard.bucket``
-    (refresh drains pending under the build lock, then touches buckets).
-9.  Leaf-side locks: the query cache, the compiled-bucket LRU, trie
-    registry/family locks, the lookup epoch, the fault registry (hit from
-    inside ``wal.segment``), and the per-replica breaker.
+5.  ``dictionary.snapshot`` serializes saves and wraps ``dictionary.write``.
+6.  ``dictionary.write`` journals before applying: it wraps
+    ``wal.segment`` (journal-before-apply), ``storage.collection``, the
+    compiled-bucket LRU (the version bump and bucket drop of a write), and
+    — via the observer notifications inside ``learn_batch``'s reentrant
+    hold and during replay — every cache owner's ``storage.cache``.
+7.  Leaf-side locks: the query cache, the compiled-bucket LRU, trie
+    registry/family locks, the fault registry (hit from inside
+    ``wal.segment``), and the per-replica breaker.
 """
 
 from __future__ import annotations
@@ -52,16 +50,8 @@ LOCK_RANKS: dict[str, int] = {
     "maintenance.state": 20,
     "replica.route": 30,
     "follower.state": 40,
-    "batch.enrich": 50,
     "dictionary.snapshot": 90,
     "dictionary.write": 100,
-    # The shard trio ranks *below* dictionary.write: learn_batch holds the
-    # (reentrant) write lock across its per-token applies, and each apply
-    # notifies the sharded index, which records pending keys under
-    # shard.pending — an edge the sanitizer proved on the first run.
-    "shard.build": 102,
-    "shard.pending": 104,
-    "shard.bucket": 106,
     "wal.segment": 110,
     "storage.collection": 120,
     "storage.cache": 130,
@@ -76,7 +66,6 @@ LOCK_RANKS: dict[str, int] = {
     # while holding matcher.family, so it must rank below (acquire-after)
     # every matcher lock.
     "snapshot.mmap": 168,
-    "lookup.epoch": 170,
     "faults.registry": 180,
     "breaker.state": 190,
     # The observability registry and its per-histogram locks are leaf-most:
@@ -96,17 +85,12 @@ HOT_PATH_LOCKS: frozenset[str] = frozenset(
     {
         "dictionary.write",
         "dictionary.compiled",
-        "shard.build",
-        "shard.pending",
-        "shard.bucket",
         "storage.collection",
         "storage.cache",
-        "lookup.epoch",
         "matcher.registry",
         "matcher.family",
         "matcher.deletes",
         "wal.segment",
-        "batch.enrich",
     }
 )
 
@@ -147,9 +131,6 @@ SANITIZER_IO_ALLOWLIST: frozenset[tuple[str, str]] = frozenset(
         ("wal.append", "wal.segment"),
         ("wal.fsync", "dictionary.write"),
         ("wal.fsync", "wal.segment"),
-        # Batch ingest journals compound records on the same path.
-        ("wal.append", "batch.enrich"),
-        ("wal.fsync", "batch.enrich"),
         # Follower replay journals nothing, but a leader-side learn under
         # the follower harness still tails within follower.state.
         ("tailer.read", "follower.state"),

@@ -405,9 +405,9 @@ class CrypTextService:
 
         Unlike :meth:`lookup`, the response is an order-preserving list (one
         entry per query, duplicates included) and the work is served by the
-        batch engine: queries are deduplicated, sound buckets are retrieved
-        shard-parallel, and the shared query cache is populated per query —
-        so no whole-response cache entry goes stale on enrichment.
+        batch engine: queries and sound buckets are deduplicated, and the
+        shared query cache is populated per query — so no whole-response
+        cache entry goes stale on enrichment.
         """
         guard = self._guard(token, "lookup")
         if isinstance(guard, ServiceResponse):

@@ -1,18 +1,14 @@
-"""Batch throughput layer: sharded phonetic index + batch/streaming engine.
+"""Batch throughput layer: the batch/streaming engine.
 
 See :mod:`repro.batch.engine` for the :class:`BatchEngine` the ``CrypText``
 facade, the service layer, the CLI and the social components run their bulk
-paths on, and :mod:`repro.batch.sharded_index` for the sharded dictionary it
-retrieves candidates from.
+paths on.  It reads its sound buckets from the dictionary's compiled-bucket
+cache, the same one the per-query path uses.
 """
 
 from .engine import BatchEngine, EnrichmentReport
-from .sharded_index import ShardedPhoneticIndex, ShardStats, shard_of
 
 __all__ = [
     "BatchEngine",
     "EnrichmentReport",
-    "ShardedPhoneticIndex",
-    "ShardStats",
-    "shard_of",
 ]

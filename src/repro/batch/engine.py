@@ -5,16 +5,16 @@ listener expanding whole watch-lists, and a crawler enriching the database
 around the clock.  :class:`BatchEngine` is the throughput layer those paths
 run on.  It combines
 
-* the **sharded phonetic index** (:mod:`repro.batch.sharded_index`) with
-  shard-parallel candidate retrieval on a worker pool,
-* **query deduplication** — repeated tokens across a batch are resolved
-  once — plus **per-token memoization** of Normalization candidate retrieval
-  layered on :class:`~repro.storage.TTLCache`,
+* **query deduplication** — repeated queries and sound keys across a batch
+  are resolved once, against the dictionary's compiled-bucket cache (the
+  one the per-query path uses) — plus **per-token memoization** of
+  Normalization candidate retrieval layered on
+  :class:`~repro.storage.TTLCache`,
 * **backpressure-aware streaming** — chunked generators with a bounded
   number of in-flight batches — for the crawler / social-listening path,
-* **shard-scoped enrichment**: learning new texts refreshes only the shards
-  whose sound buckets changed and invalidates exactly the cached queries
-  over those sounds.
+* **sound-scoped enrichment**: the engine observes the dictionary, so any
+  write, through any path, drops exactly the memoized tokens over the
+  sounds it changed.
 
 Batch results are guaranteed identical to N sequential single calls: both
 paths share :meth:`LookupEngine.build_result` and the normalizer's candidate
@@ -26,20 +26,17 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from ..analysis.sanitizer import tracked_rlock
 from ..config import CrypTextConfig
 from ..obs.registry import OBS
 from ..core.dictionary import PerturbationDictionary
 from ..core.lookup import LookupEngine, LookupResult, sound_tag
-from ..core.matcher import CompiledBucket
 from ..core.normalizer import NormalizationResult, Normalizer
 from ..core.perturber import PerturbationOutcome, Perturber
 from ..errors import CrypTextError
 from ..lm import CoherencyScorer
 from ..storage import TTLCache, make_key
-from .sharded_index import ShardedPhoneticIndex
 
 _MISSING = object()
 
@@ -50,52 +47,36 @@ class EnrichmentReport:
 
     added: int
     changed_sounds: frozenset[tuple[int, str]]
-    shards_touched: frozenset[int]
-    invalidated_queries: int
 
     def to_dict(self) -> dict[str, object]:
         """Serialize for crawler reports and monitoring exports."""
         return {
             "added": self.added,
             "num_changed_sounds": len(self.changed_sounds),
-            "shards_touched": sorted(self.shards_touched),
-            "invalidated_queries": self.invalidated_queries,
         }
 
 
 class _MemoizedNormalizer(Normalizer):
-    """A :class:`Normalizer` whose candidate retrieval is memoized and sharded.
+    """A :class:`Normalizer` whose candidate retrieval is memoized.
 
     Candidate retrieval — bucket match plus distance filtering — is
     context-free (only the coherency *ranking* looks at neighbors), so a
     token seen a thousand times across a batch pays the retrieval cost once.
-    Buckets come from the sharded index — compiled per shard, so every
-    deduped token of a batch matches against one warm trie — and are ranked
-    by the base class's shared logic (identical results to the sequential
-    path by construction); memo entries are tagged with their sound key so
-    enrichment invalidates exactly the tokens whose buckets changed, and
-    stores are skipped when an enrichment ran mid-retrieval (epoch guard).
+    Retrieval and ranking are the base class's (identical results to the
+    sequential path by construction); memo entries are tagged with their
+    sound key so a write drops exactly the tokens whose buckets changed, and
+    a store is skipped when the dictionary's version moved mid-retrieval.
     """
 
     def __init__(
         self,
         dictionary: PerturbationDictionary,
-        index: ShardedPhoneticIndex,
         memo: TTLCache,
         scorer: CoherencyScorer | None,
         config: CrypTextConfig,
-        epoch_source: Callable[[], int],
     ) -> None:
         super().__init__(dictionary, scorer=scorer, config=config)
-        self._index = index
         self._memo = memo
-        self._epoch_source = epoch_source
-
-    def _candidate_entries(self, soundex_key: str):
-        return self._index.english_bucket(soundex_key, self.config.phonetic_level)
-
-    def _compiled_candidate_bucket(self, soundex_key: str) -> CompiledBucket:
-        return self._index.compiled_bucket(soundex_key, self.config.phonetic_level)
 
     def _retrieve_candidates(self, token_text: str) -> list[tuple[str, int, int]]:
         level = self.config.phonetic_level
@@ -109,12 +90,13 @@ class _MemoizedNormalizer(Normalizer):
         cached = self._memo.get(memo_key, _MISSING)
         if cached is not _MISSING:
             return cached
-        epoch = self._epoch_source()
+        dictionary = self.dictionary
+        version = dictionary.version
         candidates = super()._retrieve_candidates(token_text)
         key = self._encoder.encode_or_none(token_text)
         tags = (sound_tag(level, key),) if key is not None else ()
         self._memo.set_if(
-            memo_key, candidates, lambda: epoch == self._epoch_source(), tags=tags
+            memo_key, candidates, lambda: dictionary.version == version, tags=tags
         )
         return candidates
 
@@ -136,7 +118,7 @@ class BatchEngine:
     Parameters
     ----------
     dictionary:
-        The token database (source of truth for the sharded index).
+        The token database; its compiled-bucket cache serves every bucket.
     lookup_engine:
         Engine whose result builder and query cache the batch path shares; a
         private one is created when omitted.  Sharing the ``CrypText``
@@ -148,8 +130,6 @@ class BatchEngine:
     perturber:
         Perturbation sampler used by :meth:`perturb_batch`; a private seeded
         one is created when omitted.
-    num_shards:
-        Partition count of the phonetic index.
     chunk_size:
         Default documents-per-chunk for the streaming methods.
     max_in_flight:
@@ -168,7 +148,6 @@ class BatchEngine:
         config: CrypTextConfig | None = None,
         scorer: CoherencyScorer | None = None,
         perturber: Perturber | None = None,
-        num_shards: int = 4,
         chunk_size: int = 256,
         max_in_flight: int = 4,
         memo_cache: TTLCache | None = None,
@@ -184,8 +163,6 @@ class BatchEngine:
             if lookup_engine is not None
             else LookupEngine(dictionary, config=self.config)
         )
-        self.index = ShardedPhoneticIndex(dictionary, num_shards=num_shards)
-        self.num_shards = num_shards
         self.chunk_size = chunk_size
         self.max_in_flight = max_in_flight
         self.memo = (
@@ -196,41 +173,20 @@ class BatchEngine:
                 default_ttl=self.config.cache_ttl_seconds,
             )
         )
-        # The dictionary's mutation counter is bumped on every write, before
-        # any cache invalidation runs — so a retrieval that straddles a write
-        # sees the moved epoch and skips storing its (possibly stale) result.
         self.normalizer = _MemoizedNormalizer(
-            dictionary, self.index, self.memo, scorer, self.config,
-            epoch_source=lambda: dictionary.version,
+            dictionary, self.memo, scorer, self.config
         )
         self.perturber = (
             perturber
             if perturber is not None
             else Perturber(self.lookup_engine, config=self.config)
         )
-        #: Minimum number of distinct sound keys in a batch before bucket
-        #: retrieval fans out to the worker pool (below it, pool overhead
-        #: exceeds the probe cost).
-        self.parallel_threshold = 8
         # Cooperative maintenance hook (attach_maintenance): streaming
         # generators tick it between chunks, so a long-running stream
-        # refreshes snapshots on schedule while the shard pool keeps
-        # serving — saves never pause the shards.
+        # refreshes snapshots on schedule without a background thread.
         self._maintenance = None
-        self._enrich_lock = tracked_rlock("batch.enrich")
-        # One long-lived pool for shard-parallel bucket retrieval; creating
-        # an executor per batch would pay thread spawn/join on every chunk
-        # of a stream.  Threads start lazily on first use.
-        self._shard_pool: ThreadPoolExecutor | None = (
-            ThreadPoolExecutor(
-                max_workers=num_shards, thread_name_prefix="cryptext-shard"
-            )
-            if num_shards > 1
-            else None
-        )
-        # Dictionary writes that bypass this engine (a crawler holding only
-        # the dictionary, direct add_token calls) must still drop the
-        # memoized candidates and cached queries over the changed sounds.
+        # Every dictionary write, through any path, drops the memoized
+        # candidates over the sounds it changed.
         dictionary.register_observer(self)
 
     # ------------------------------------------------------------------ #
@@ -248,8 +204,8 @@ class BatchEngine:
         """Look Up every query of a batch; results preserve input order.
 
         Duplicate queries are resolved once, cache hits are served from the
-        shared query cache, and the remaining misses retrieve their sound
-        buckets shard-parallel before being built with the exact logic of the
+        shared query cache, and the remaining misses fetch each distinct
+        sound bucket once before being built with the exact logic of the
         sequential path — so ``look_up_batch(qs)[i]`` equals
         ``look_up(qs[i])`` for every ``i``.  ``use_transpositions``
         overrides the distance policy for the whole batch exactly as the
@@ -298,67 +254,31 @@ class BatchEngine:
         if misses:
             encoder = self.dictionary.encoder(level)
             sound_keys = {query: encoder.encode_or_none(query) for query in misses}
-            wanted = {(level, key) for key in sound_keys.values() if key is not None}
-            # Same stale-write guard as the sequential look_up: buckets read
-            # before an enrichment's invalidation must not be re-cached after
-            # it (the results are still returned, just not stored).
-            epoch = engine.epoch
-            buckets = self._fetch_buckets(
-                wanted, compiled=self.config.compiled_buckets
-            )
+            # Same stale-write guard as the sequential look_up: results built
+            # from buckets read before a write are returned, not stored.
+            version = self.dictionary.version
+            buckets = self._fetch_buckets(level, set(sound_keys.values()) - {None})
             for query in misses:
                 key = sound_keys[query]
-                bucket = buckets.get((level, key), ()) if key is not None else ()
+                bucket = buckets.get(key, ())
                 result = engine.build_result(
                     query, level, distance, case_sensitive, canonical_distance, key,
                     bucket, use_transpositions=use_transpositions,
                 )
                 engine.cache_result(
-                    result, case_sensitive, canonical_distance, epoch=epoch,
+                    result, case_sensitive, canonical_distance, version=version,
                     use_transpositions=use_transpositions,
                 )
                 resolved[query] = result
         return [resolved[query] for query in queries]
 
-    def warm_from_snapshot(self, source=None, level: int | None = None):
-        """Hydrate the sharded index's compiled buckets from a snapshot.
-
-        ``source`` is a snapshot path or a loaded
-        :class:`~repro.storage.snapshot.Snapshot`; when omitted the
-        configured ``config.snapshot_dir`` is used.  Returns the
-        :class:`~repro.core.dictionary.SnapshotLoadReport` —
-        ``loaded=False`` with a ``reason`` means the snapshot was unusable
-        (corrupt, stale fingerprint) and the shards were warmed the normal
-        recompiling way instead, so the engine is ready to serve either way.
-        """
-        if source is None:
-            from ..storage.snapshot import SNAPSHOT_FILE_NAME
-            from pathlib import Path
-
-            if self.config.snapshot_dir is None:
-                raise CrypTextError(
-                    "no snapshot source given and config.snapshot_dir is not set"
-                )
-            source = Path(self.config.snapshot_dir) / SNAPSHOT_FILE_NAME
-        return self.index.warm(level=level, from_snapshot=source)
-
-    def _fetch_buckets(self, wanted: set[tuple[int, str]], compiled: bool = False):
-        if self._shard_pool is not None and len(wanted) >= self.parallel_threshold:
-            return self.index.buckets(
-                wanted, executor=self._shard_pool, compiled=compiled
-            )
-        return self.index.buckets(wanted, compiled=compiled)
-
-    def close(self) -> None:
-        """Shut down the shard worker pool (idempotent).
-
-        Optional — an unclosed engine's idle threads are reaped at
-        interpreter exit — but long-running services cycling engines should
-        close retired ones.
-        """
-        if self._shard_pool is not None:
-            self._shard_pool.shutdown(wait=False)
-            self._shard_pool = None
+    def _fetch_buckets(self, level: int, keys: set[str]) -> dict:
+        """Each distinct sound bucket of a batch, fetched once."""
+        if self.config.compiled_buckets:
+            fetch = self.dictionary.compiled_bucket
+        else:
+            fetch = self.dictionary.tokens_for_key
+        return {key: fetch(key, phonetic_level=level) for key in keys}
 
     def look_up_many(
         self,
@@ -416,8 +336,7 @@ class BatchEngine:
 
         Duplicate documents are normalized once; across distinct documents
         every repeated token shares one memoized candidate retrieval, so the
-        per-document cost degenerates to ranking.  Sound buckets for the
-        batch's unique tokens are prefetched shard-parallel.
+        per-document cost degenerates to ranking.
         """
         if OBS.armed:
             with OBS.span("batch.normalize"):
@@ -426,29 +345,10 @@ class BatchEngine:
 
     def _normalize_batch(self, texts: Sequence[str]) -> list[NormalizationResult]:
         texts = list(texts)
-        unique = list(dict.fromkeys(texts))
-        self._prefetch_normalization_buckets(unique)
-        resolved = {text: self.normalizer.normalize(text) for text in unique}
-        return [resolved[text] for text in texts]
-
-    def _prefetch_normalization_buckets(self, texts: Sequence[str]) -> None:
-        """Warm the sharded index for every unique token of ``texts``."""
-        level = self.config.phonetic_level
-        encoder = self.dictionary.encoder(level)
-        tokens = {
-            token.text
-            for text in texts
-            for token in self.normalizer.tokenizer.word_tokens(text)
+        resolved = {
+            text: self.normalizer.normalize(text) for text in dict.fromkeys(texts)
         }
-        wanted = set()
-        for token_text in tokens:
-            key = encoder.encode_or_none(token_text)
-            if key is not None:
-                wanted.add((level, key))
-        if wanted:
-            # Compile while prefetching when the compiled path is on, so the
-            # normalizer's per-token retrievals hit warm per-shard tries.
-            self._fetch_buckets(wanted, compiled=self.config.compiled_buckets)
+        return [resolved[text] for text in texts]
 
     def stream_normalize(
         self,
@@ -489,52 +389,30 @@ class BatchEngine:
     # enrichment (crawler / social-listening write path)
     # ------------------------------------------------------------------ #
     def enrich(self, texts: Iterable[str], source: str = "stream") -> EnrichmentReport:
-        """Add ``texts`` to the dictionary and resynchronize, shard-scoped.
+        """Add ``texts`` to the dictionary; report what changed.
 
-        Only the shards whose sound buckets changed are refreshed, and only
-        cached queries/memoized tokens over those sounds are invalidated;
-        everything else stays warm.
+        The dictionary notifies every cache owner of each write, so only the
+        cached queries and memoized tokens over the changed sounds are
+        dropped; everything else stays warm.
         """
         changed: set[tuple[int, str]] = set()
         added = self.dictionary.add_corpus(texts, source=source, changed_keys=changed)
-        shards, invalidated = self.apply_enrichment(changed)
-        return EnrichmentReport(
-            added=added,
-            changed_sounds=frozenset(changed),
-            shards_touched=shards,
-            invalidated_queries=invalidated,
-        )
+        return EnrichmentReport(added=added, changed_sounds=frozenset(changed))
 
-    def note_changes(self, changed_keys: set[tuple[int, str]]) -> None:
+    def note_changes(self, changed_keys: set[tuple[int, str]] | None) -> None:
         """Dictionary write notification (the ``ChangeObserver`` hook).
 
-        Fires on *every* dictionary write, including ones that bypass
-        :meth:`enrich` — a crawler holding only the dictionary, a direct
-        ``add_token`` call — so the memoized normalization candidates and
-        the tagged query cache can never go stale behind an out-of-band
-        write.  The sharded index keeps itself in sync through its own
-        observer.
+        Drops the memoized normalization candidates over ``changed_keys``,
+        or all of them when ``changed_keys`` is ``None`` (a snapshot load or
+        a replay reset replaced every bucket).  The query cache belongs to
+        the lookup engine, which observes the dictionary itself.
         """
-        self.memo.invalidate_tags(sound_tag(level, key) for level, key in changed_keys)
-        self.lookup_engine.invalidate_sounds(changed_keys)
-
-    def apply_enrichment(
-        self, changed_keys: Iterable[tuple[int, str]]
-    ) -> tuple[frozenset[int], int]:
-        """Refresh shards and invalidate caches for ``changed_keys``.
-
-        Returns ``(shards_touched, invalidated_query_count)``.  Called by
-        :meth:`enrich` and by ``CrypText.learn_from`` when the dictionary was
-        grown outside this engine.
-        """
-        changed = set(changed_keys)
-        if not changed:
-            return frozenset(), 0
-        with self._enrich_lock:
-            shards = self.index.refresh_keys(changed)
-            self.memo.invalidate_tags(sound_tag(level, key) for level, key in changed)
-            invalidated = self.lookup_engine.invalidate_sounds(changed)
-        return shards, invalidated
+        if changed_keys is None:
+            self.memo.clear()
+        else:
+            self.memo.invalidate_tags(
+                sound_tag(level, key) for level, key in changed_keys
+            )
 
     # ------------------------------------------------------------------ #
     # plumbing
@@ -546,7 +424,7 @@ class BatchEngine:
         :meth:`~repro.wal.maintenance.MaintenanceScheduler.tick` each time a
         chunk's results are drained — a cheap no-op until the auto-save
         interval elapses, then an incremental snapshot refresh that runs
-        while the shard pool keeps resolving the next chunks.
+        while the stream pool keeps resolving the next chunks.
         """
         self._maintenance = scheduler
 
@@ -575,29 +453,21 @@ class BatchEngine:
                 self._tick_maintenance()
 
     def stats(self) -> dict[str, object]:
-        """Shard layout plus cache/memoization counters (monitoring export).
+        """Cache and memoization counters (monitoring export).
 
-        ``compiled_buckets`` aggregates the trie-cache counters across the
-        shards and the dictionary's own LRU (including trie-family sharing),
-        the capacity-tuning view for ``config.cache_max_entries``; its
+        ``compiled_buckets`` is the dictionary's compiled-bucket LRU (the
+        capacity-tuning view for ``config.cache_max_entries``); its
         ``kernels`` entry totals the per-kernel match counters
-        (myers/banded/symspell/linear) for every match this engine's
-        dictionary served.
+        (myers/banded/symspell/linear) for every match the dictionary served.
         """
-        dictionary_compiled = self.dictionary.compiled_cache_stats()
         return {
-            "index": self.index.to_dict(),
             "memo": self.memo.stats.to_dict(),
             "query_cache": (
                 self.lookup_engine.cache.stats.to_dict()
                 if self.lookup_engine.cache is not None
                 else None
             ),
-            "compiled_buckets": {
-                "shards": self.index.compiled_cache_stats(),
-                "dictionary": dictionary_compiled,
-                "kernels": dictionary_compiled["kernels"],
-            },
+            "compiled_buckets": self.dictionary.compiled_cache_stats(),
             "chunk_size": self.chunk_size,
             "max_in_flight": self.max_in_flight,
             "maintenance": (

@@ -795,7 +795,6 @@ def _iter_jsonl_values(path: str, field: str):
 def _cmd_batch(args: argparse.Namespace) -> int:
     system = _build_system(args, train_scorer=args.mode == "normalize")
     engine = system.make_batch_engine(
-        num_shards=args.shards,
         chunk_size=args.chunk_size,
         max_in_flight=args.max_in_flight,
     )
@@ -835,7 +834,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             out.close()
     print(
         f"processed {processed} documents "
-        f"({args.mode}, {args.shards} shards, chunk size {args.chunk_size})",
+        f"({args.mode}, chunk size {args.chunk_size})",
         file=sys.stderr,
     )
     return 0
@@ -1126,7 +1125,6 @@ def build_parser() -> argparse.ArgumentParser:
         "strings); '-' reads stdin",
     )
     batch_cmd.add_argument("--output", help="output JSONL path (default: stdout)")
-    batch_cmd.add_argument("--shards", type=int, default=4, help="phonetic index shards")
     batch_cmd.add_argument("--chunk-size", type=int, default=256, help="documents per chunk")
     batch_cmd.add_argument(
         "--max-in-flight", type=int, default=4, help="bound on concurrently processed chunks"

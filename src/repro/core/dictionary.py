@@ -75,10 +75,19 @@ class AddOutcome(enum.Enum):
 
 
 class ChangeObserver(Protocol):
-    """Anything that wants to hear which sound buckets a write touched."""
+    """A cache owner that wants to hear which sound buckets a write touched.
 
-    def note_changes(self, changed_keys: set[tuple[int, str]]) -> None:
-        """Called after every recorded token with its ``(level, key)`` pairs."""
+    Every cache built on the dictionary subscribes through
+    :meth:`PerturbationDictionary.register_observer` and drops only its own
+    entries, so a write through any path reaches every cache the same way.
+    """
+
+    def note_changes(self, changed_keys: set[tuple[int, str]] | None) -> None:
+        """Called after every write with the ``(level, key)`` pairs it touched.
+
+        ``None`` means every bucket (a snapshot load or a replay reset
+        replaced the whole dictionary).
+        """
 
 
 @dataclass(frozen=True)
@@ -184,10 +193,9 @@ class SnapshotLoadReport:
     """What a snapshot load did — or why it fell back to recompilation.
 
     ``loaded`` is true when documents were installed; ``hydrated_tries``
-    when pre-built trie families were adopted (a trie-only warm over an
-    existing dictionary sets only the latter).  ``reason`` explains a
-    fallback (corruption, format/version mismatch, fingerprint drift) and
-    is ``None`` on full success.
+    when pre-built trie families were adopted too.  ``reason`` explains a
+    fallback (corruption, format/version mismatch) and is ``None`` on full
+    success.
     """
 
     loaded: bool
@@ -288,6 +296,10 @@ class PerturbationDictionary:
         # Serializes the find-then-insert/update sequence of add_token so
         # concurrent writers (crawler threads) never lose count increments.
         self._write_lock = tracked_rlock("dictionary.write")
+        # Bumped under the compiled lock in the same block that drops the
+        # written buckets, so a reader that sees the new version can no
+        # longer fetch a pre-write compiled bucket: the one store guard every
+        # cache uses.
         self._version = 0
         # Compiled-bucket cache: (phonetic_level, soundex_key) -> CompiledBucket,
         # LRU-ordered (hits refresh recency, capacity evicts the coldest key).
@@ -309,8 +321,7 @@ class PerturbationDictionary:
         # One trie-family registry per dictionary: buckets whose token
         # sequences coincide across phonetic levels (every singleton bucket,
         # and any bucket that never splits at a deeper level) compile one
-        # trie instead of one per level.  The sharded index reuses this
-        # registry, so dictionary-side and shard-side compilations share too.
+        # trie instead of one per level.
         from .matcher import TrieFamilyRegistry
 
         self._trie_families = TrieFamilyRegistry()
@@ -319,9 +330,9 @@ class PerturbationDictionary:
         # pre-built tries the snapshot paid to persist.  Bounded by snapshot
         # size; replaced wholesale on every load.
         self._snapshot_families: tuple["TrieFamily", ...] = ()
-        # Weakly-held observers (sharded phonetic indexes) notified of every
-        # write's touched sound keys, so no write can bypass their sync —
-        # regardless of whether the caller went through a batch engine.
+        # Weakly-held cache owners (lookup engines, batch engines, the
+        # facade) notified of every write's touched sound keys, so no write
+        # can bypass their invalidation, whatever path it took.
         self._observers: "weakref.WeakSet[ChangeObserver]" = weakref.WeakSet()
         # --- durability state (the WAL subsystem, repro.wal) ---
         # Attached change log: every recorded add_token is journaled before
@@ -370,6 +381,10 @@ class PerturbationDictionary:
     def register_observer(self, observer: ChangeObserver) -> None:
         """Subscribe ``observer`` to write notifications (weakly referenced)."""
         self._observers.add(observer)
+
+    def _notify_observers(self, changed_keys: set[tuple[int, str]] | None) -> None:
+        for observer in tuple(self._observers):
+            observer.note_changes(changed_keys)
 
     # ------------------------------------------------------------------ #
     # construction
@@ -421,8 +436,8 @@ class PerturbationDictionary:
         truthy exactly when something was recorded.
 
         When ``changed_keys`` is given, the ``(phonetic_level, soundex_key)``
-        pairs whose buckets this write touched are added to it — the hook the
-        batch engine and the facade use for shard-scoped cache invalidation.
+        pairs whose buckets this write touched are added to it.  Every
+        registered observer hears the same pairs once the write is applied.
         """
         if count < 1:
             raise DictionaryError(f"count must be >= 1, got {count}")
@@ -465,18 +480,17 @@ class PerturbationDictionary:
                     update["$addToSet"] = {"sources": source}
                 collection.update_one({"token": token}, update)
                 outcome = AddOutcome.UPDATED
-            self._version += 1
             pairs = {(level, keys[f"k{level}"]) for level in self._encoders}
             self._dirty_pairs.update(pairs)
             self._dirty_tokens.add(token)
-        with self._compiled_lock:
-            for pair in pairs:
-                if self._compiled.pop(pair, None) is not None:
-                    self._compiled_invalidations += 1
+            with self._compiled_lock:
+                self._version += 1
+                for pair in pairs:
+                    if self._compiled.pop(pair, None) is not None:
+                        self._compiled_invalidations += 1
         if changed_keys is not None:
             changed_keys.update(pairs)
-        for observer in tuple(self._observers):
-            observer.note_changes(pairs)
+        self._notify_observers(pairs)
         return outcome
 
     def add_text(
@@ -504,12 +518,7 @@ class PerturbationDictionary:
             for text in texts
         )
 
-    def learn_batch(
-        self,
-        texts: Iterable[str],
-        source: str | None = None,
-        changed_keys: set[tuple[int, str]] | None = None,
-    ) -> int:
+    def learn_batch(self, texts: Iterable[str], source: str | None = None) -> int:
         """Record a whole enrichment round as one journaled mutation.
 
         State-equivalent to :meth:`add_corpus` — tokens are merged in
@@ -548,9 +557,7 @@ class PerturbationDictionary:
             self._wal_replaying_thread = threading.get_ident()
             try:
                 for token, count in merged.items():
-                    if self.add_token(
-                        token, source=source, count=count, changed_keys=changed_keys
-                    ):
+                    if self.add_token(token, source=source, count=count):
                         recorded += count
             finally:
                 self._wal_replaying_thread = previous
@@ -1171,10 +1178,9 @@ class PerturbationDictionary:
         """Hydrate the snapshot's trie families into the shared registry.
 
         Returns one family per snapshot row (registry-deduplicated) and
-        pins them with strong references so later compilations — dictionary
-        LRU or shard caches — keep finding the pre-built tries even after
-        cache evictions.  Malformed family payloads raise
-        :class:`~repro.errors.SnapshotError`.
+        pins them with strong references so later compilations keep finding
+        the pre-built tries even after cache evictions.  Malformed family
+        payloads raise :class:`~repro.errors.SnapshotError`.
         """
         from ..errors import SnapshotError
         from .matcher import TrieFamily
@@ -1196,7 +1202,7 @@ class PerturbationDictionary:
     ) -> SnapshotLoadReport:
         """Replace the collection from a snapshot and install its warm tries.
 
-        The epoch guard and corruption handling:
+        The version guard and corruption handling:
 
         * a missing/corrupt file, a foreign format version, or a checksum
           mismatch raises :class:`~repro.errors.SnapshotError` under
@@ -1205,9 +1211,8 @@ class PerturbationDictionary:
           recompiling lazily, exactly as before snapshots existed;
         * on success the documents are installed with their original
           ``_id``\\ s (preserving bucket order), the mutation version is
-          bumped so every stale cache (compiled buckets, observers, query
-          caches) drops, and the compiled-bucket LRU is pre-seeded with
-          hydrated views up to its capacity.
+          bumped, every observer clears its cache, and the compiled-bucket
+          LRU is pre-seeded with hydrated views up to its capacity.
         """
         if OBS.armed:
             with OBS.span("snapshot.load"):
@@ -1301,32 +1306,21 @@ class PerturbationDictionary:
 
         collection = self.collection
         with self._write_lock:
-            # Sound keys present before the load: observers must refresh
-            # them too, or buckets that vanish with the reload would linger.
-            # (Computed only when someone is listening — the scan deep-copies
-            # every document, which a fresh warm start need not pay.)
-            stale_pairs: set[tuple[int, str]] = set()
-            if self._observers:
-                stale_pairs = {
-                    (level, document["keys"][f"k{level}"])
-                    for document in collection
-                    for level in self._encoders
-                    if f"k{level}" in document.get("keys", {})
-                }
             collection.clear()
             # Adopt by reference: the parsed snapshot documents are owned by
             # this load, and the store never mutates stored documents in
             # place (updates replace them wholesale), so no copy is needed.
             collection.load_documents(snapshot.documents, copy=False)
-            self._version += 1
             with self._compiled_lock:
+                self._version += 1
                 self._compiled.clear()
+                version = self._version
 
         try:
             families = self.adopt_snapshot_families(snapshot)
         except SnapshotError as exc:
             # Documents are in and consistent; only the warm tries are lost.
-            self._notify_snapshot_change(stale_pairs, snapshot)
+            self._notify_observers(None)
             if strict:
                 raise
             return SnapshotLoadReport(
@@ -1344,7 +1338,9 @@ class PerturbationDictionary:
         installed = 0
         with self._compiled_lock:
             for level, key, family_row in snapshot.buckets:
-                if installed >= self._compiled_max_entries:
+                # A write that landed since the install must not be shadowed
+                # by a pre-write hydrated bucket.
+                if installed >= self._compiled_max_entries or self._version != version:
                     break
                 bucket_entries = grouped.get((level, key), [])
                 family = families[family_row]
@@ -1357,7 +1353,7 @@ class PerturbationDictionary:
                     bucket_entries, family=family
                 )
                 installed += 1
-        self._notify_snapshot_change(stale_pairs, snapshot)
+        self._notify_observers(None)
         return SnapshotLoadReport(
             loaded=True,
             hydrated_tries=True,
@@ -1365,27 +1361,6 @@ class PerturbationDictionary:
             families=len(families),
             buckets=installed,
         )
-
-    def _notify_snapshot_change(
-        self, stale_pairs: set[tuple[int, str]], snapshot: "Snapshot"
-    ) -> None:
-        """Tell observers every sound key a snapshot load may have changed."""
-        observers = tuple(self._observers)
-        if not observers:
-            return
-        pairs = set(stale_pairs)
-        pairs.update((level, key) for level, key, _ in snapshot.buckets)
-        for document in snapshot.documents:
-            keys = document.get("keys")
-            if isinstance(keys, dict):
-                for level in self._encoders:
-                    key = keys.get(f"k{level}")
-                    if key is not None:
-                        pairs.add((level, str(key)))
-        if not pairs:
-            return
-        for observer in observers:
-            observer.note_changes(pairs)
 
     # ------------------------------------------------------------------ #
     # durability: WAL attachment & crash recovery
@@ -1441,11 +1416,7 @@ class PerturbationDictionary:
                 self._wal.ensure_seq_at_least(snapshot.wal_seq)
         return report
 
-    def apply_wal_record(
-        self,
-        record: "WalRecord",
-        changed_keys: set[tuple[int, str]] | None = None,
-    ) -> bool:
+    def apply_wal_record(self, record: "WalRecord") -> bool:
         """Apply one journaled mutation without re-journaling it.
 
         The shared replay core of crash recovery and follower replication:
@@ -1477,9 +1448,7 @@ class PerturbationDictionary:
             self._wal_replaying_thread = threading.get_ident()
             try:
                 for token, source, count in ops:
-                    self.add_token(
-                        token, source=source, count=count, changed_keys=changed_keys
-                    )
+                    self.add_token(token, source=source, count=count)
             finally:
                 self._wal_replaying_thread = previous
         return True
@@ -1498,27 +1467,16 @@ class PerturbationDictionary:
 
         The no-snapshot analogue of :meth:`_install_snapshot`'s wholesale
         replacement: drops every document, compiled bucket, and dirty
-        marker, and tells observers about every sound key that vanished.
+        marker, and tells every observer to clear its cache.
         """
-        collection = self.collection
         with self._write_lock:
-            stale_pairs: set[tuple[int, str]] = set()
-            if self._observers:
-                stale_pairs = {
-                    (level, document["keys"][f"k{level}"])
-                    for document in collection
-                    for level in self._encoders
-                    if f"k{level}" in document.get("keys", {})
-                }
-            collection.clear()
-            self._version += 1
+            self.collection.clear()
             with self._compiled_lock:
+                self._version += 1
                 self._compiled.clear()
             self._dirty_pairs.clear()
             self._dirty_tokens.clear()
-        if stale_pairs:
-            for observer in tuple(self._observers):
-                observer.note_changes(stale_pairs)
+        self._notify_observers(None)
 
     def _wal_directory(self, snapshot_dir: Path, wal_dir: "str | Path | None") -> Path:
         from ..wal.log import resolve_wal_directory

@@ -15,9 +15,8 @@ keyword arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
-from ..analysis.sanitizer import tracked_lock
 from ..config import CrypTextConfig, DEFAULT_CONFIG
 from ..storage import TTLCache, make_key
 from .categories import PerturbationCategory, categorize_perturbation
@@ -31,9 +30,9 @@ def sound_tag(phonetic_level: int, soundex_key: str) -> tuple[str, int, str]:
     """Cache tag identifying one sound bucket at one phonetic level.
 
     Every cached query whose answer depends on the bucket ``soundex_key`` at
-    level ``phonetic_level`` is tagged with this value, so enrichment can
-    invalidate exactly the queries whose buckets changed (shard-scoped
-    invalidation) instead of flushing the whole cache.
+    level ``phonetic_level`` is tagged with this value, so a dictionary write
+    can invalidate exactly the queries whose buckets changed instead of
+    flushing the whole cache.
     """
     return ("sound", phonetic_level, soundex_key)
 
@@ -122,7 +121,9 @@ class LookupEngine:
     cache:
         Optional query cache; when omitted and ``config.cache_enabled`` is
         true a private :class:`~repro.storage.TTLCache` is created.  The
-        cache mirrors the Redis layer of the original architecture.
+        cache mirrors the Redis layer of the original architecture; an
+        engine with a cache observes the dictionary, so every write drops
+        the cached queries over the sounds it changed.
     """
 
     def __init__(
@@ -142,18 +143,8 @@ class LookupEngine:
             )
         else:
             self.cache = None
-        self._epoch = 0
-        self._epoch_lock = tracked_lock("lookup.epoch")
-
-    @property
-    def epoch(self) -> int:
-        """Invalidation epoch; bumped by every :meth:`invalidate_sounds`.
-
-        Writers capture it before computing a result and skip caching if it
-        moved, so an in-flight query that read a pre-enrichment bucket can
-        never re-insert a stale entry after the invalidation ran.
-        """
-        return self._epoch
+        if self.cache is not None:
+            dictionary.register_observer(self)
 
     def resolve_transpositions(self, use_transpositions: bool | None) -> bool:
         """The distance policy for one query: explicit override or config."""
@@ -216,10 +207,9 @@ class LookupEngine:
         """Assemble a :class:`LookupResult` from a pre-fetched sound bucket.
 
         This is the single matching/merging/ranking path shared by the
-        per-query route (:meth:`look_up`, which fetches the bucket from the
-        dictionary) and the batch engine (which fetches buckets shard-parallel
-        from its sharded index) — guaranteeing batch results are identical to
-        sequential ones.
+        per-query route (:meth:`look_up`) and the batch engine (which fetches
+        each distinct bucket of a batch once) — guaranteeing batch results
+        are identical to sequential ones.
 
         When ``bucket`` is a :class:`~repro.core.matcher.CompiledBucket` the
         edit distances come from one trie traversal instead of a per-entry
@@ -381,14 +371,14 @@ class LookupEngine:
         )
 
     def cache_result(self, result: LookupResult, case_sensitive: bool,
-                     canonical_distance: bool, epoch: int | None = None,
+                     canonical_distance: bool, version: int | None = None,
                      use_transpositions: bool | None = None) -> None:
         """Store ``result`` in the query cache, tagged with its sound bucket.
 
-        With ``epoch`` (captured before the result was computed), the store
-        is atomically guarded: it is skipped when :meth:`invalidate_sounds`
-        ran in the meantime, so a result built from a pre-enrichment bucket
-        can never survive the invalidation.
+        With ``version`` (the dictionary's, captured before the result was
+        computed), the store is atomically guarded: it is skipped when any
+        write landed in the meantime, so a result built from a pre-write
+        bucket can never outlive the write's invalidation.
         """
         if self.cache is None:
             return
@@ -405,29 +395,27 @@ class LookupEngine:
             if result.soundex_key is not None
             else ()
         )
-        if epoch is None:
+        if version is None:
             self.cache.set(key, result, tags=tags)
         else:
-            self.cache.set_if(key, result, lambda: self._epoch == epoch, tags=tags)
+            dictionary = self.dictionary
+            self.cache.set_if(
+                key, result, lambda: dictionary.version == version, tags=tags
+            )
 
-    def invalidate_sounds(self, changed_keys: Iterable[tuple[int, str]]) -> int:
-        """Drop cached queries whose sound buckets changed; returns removals.
+    def note_changes(self, changed_keys: set[tuple[int, str]] | None) -> None:
+        """Dictionary write notification (the ``ChangeObserver`` hook).
 
-        ``changed_keys`` holds ``(phonetic_level, soundex_key)`` pairs, as
-        collected by :meth:`PerturbationDictionary.add_corpus`.  Cached
-        queries over unchanged buckets survive (the shard-scoped alternative
-        to clearing the whole cache on enrichment).
+        Drops the cached queries over the changed ``(level, key)`` sound
+        buckets; cached queries over unchanged buckets survive.  ``None``
+        (a snapshot load or a replay reset) clears the whole cache.
         """
-        # Bump the epoch *before* dropping entries: a reader that computed
-        # from the old bucket either stores before the drop (and is dropped)
-        # or sees the moved epoch and skips storing.
-        with self._epoch_lock:
-            self._epoch += 1
-        if self.cache is None:
-            return 0
-        return self.cache.invalidate_tags(
-            sound_tag(level, key) for level, key in changed_keys
-        )
+        if changed_keys is None:
+            self.cache.clear()
+        else:
+            self.cache.invalidate_tags(
+                sound_tag(level, key) for level, key in changed_keys
+            )
 
     def look_up(
         self,
@@ -476,13 +464,13 @@ class LookupEngine:
         cached = self.cache.get(cache_key, default=None)
         if cached is not None:
             return cached
-        epoch = self._epoch
+        version = self.dictionary.version
         result = self._execute(
             query, level, distance, case_sensitive, canonical_distance,
             use_transpositions,
         )
         self.cache_result(
-            result, case_sensitive, canonical_distance, epoch=epoch,
+            result, case_sensitive, canonical_distance, version=version,
             use_transpositions=use_transpositions,
         )
         return result

@@ -27,8 +27,8 @@ scan — the property tests in ``tests/test_matcher.py`` assert equality over
 random token sets, and the golden-corpus CI guard asserts it end to end.
 
 A compiled bucket is immutable once built; writers invalidate by dropping
-the cached instance (see :meth:`PerturbationDictionary.compiled_bucket` and
-the per-shard caches in :mod:`repro.batch.sharded_index`).
+the cached instance (see :meth:`PerturbationDictionary.compiled_bucket`, the
+one compiled-bucket cache every read path shares).
 
 Two pieces make compiled buckets cheap to share and to persist:
 
@@ -516,7 +516,7 @@ class TrieFamilyRegistry:
     """Deduplicates trie compilation across buckets sharing one token sequence.
 
     Families are held weakly: a family stays alive exactly as long as some
-    compiled bucket (dictionary LRU, shard cache, snapshot hydration list)
+    compiled bucket (dictionary LRU, snapshot hydration list)
     references it, so the registry never pins memory on its own.  The
     counters feed the compiled-cache stats surface — ``views`` counts every
     bucket that attached to a family, ``families_created`` how many distinct
@@ -549,7 +549,7 @@ class TrieFamilyRegistry:
         """Register a hydrated family, preferring an existing live one.
 
         Snapshot loading rebuilds families from disk; adopting them here
-        means later compilations (dictionary or shard) find the pre-built
+        means later compilations find the pre-built
         tries instead of compiling fresh ones.
         """
         with self._lock:

@@ -25,7 +25,6 @@ from ..text.wordlist import EnglishLexicon
 from .categories import PerturbationCategory, categorize_perturbation
 from .dictionary import DictionaryEntry, PerturbationDictionary
 from .edit_distance import bounded_levenshtein, bounded_osa
-from .matcher import CompiledBucket
 from .soundex import CustomSoundex
 
 
@@ -135,28 +134,6 @@ class Normalizer:
         self._encoder: CustomSoundex = dictionary.encoder(config.phonetic_level)
 
     # ------------------------------------------------------------------ #
-    def _candidate_entries(self, soundex_key: str):
-        """English-word entries of the token's sound bucket (linear fallback).
-
-        The seam subclasses override to retrieve from a different source
-        (the batch engine's sharded index) without duplicating the ranking
-        logic below.  Only consulted when ``config.compiled_buckets`` is off.
-        """
-        return self.dictionary.english_words_for_key(
-            soundex_key, phonetic_level=self.config.phonetic_level
-        )
-
-    def _compiled_candidate_bucket(self, soundex_key: str) -> CompiledBucket:
-        """The token's sound bucket compiled for one-pass matching.
-
-        The compiled-path counterpart of :meth:`_candidate_entries` — the
-        batch engine's memoized normalizer overrides it to reuse the sharded
-        index's per-shard trie caches instead of the dictionary's.
-        """
-        return self.dictionary.compiled_bucket(
-            soundex_key, phonetic_level=self.config.phonetic_level
-        )
-
     def _scored_candidate_entries(
         self, canonical: str, soundex_key: str
     ) -> Iterator[tuple[DictionaryEntry, int]]:
@@ -173,8 +150,9 @@ class Normalizer:
         """
         bound = self.config.edit_distance
         transpositions = self.config.use_transpositions
+        level = self.config.phonetic_level
         if self.config.compiled_buckets:
-            bucket = self._compiled_candidate_bucket(soundex_key)
+            bucket = self.dictionary.compiled_bucket(soundex_key, phonetic_level=level)
             kernel = bucket.kernel_for(
                 self.config.match_kernel, len(canonical), bound, transpositions
             )
@@ -193,7 +171,9 @@ class Normalizer:
             return
         self.dictionary.note_kernel_hits("linear")
         bounded_distance = bounded_osa if transpositions else bounded_levenshtein
-        for entry in self._candidate_entries(soundex_key):
+        for entry in self.dictionary.english_words_for_key(
+            soundex_key, phonetic_level=level
+        ):
             distance = bounded_distance(canonical, entry.canonical, bound)
             if distance is not None:
                 yield entry, distance

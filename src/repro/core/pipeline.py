@@ -58,14 +58,18 @@ class CrypText:
         self.dictionary = dictionary
         self.scorer = scorer
         if cache is None and config.cache_enabled:
-            # Always own the query cache so learn_from() can invalidate it;
-            # otherwise the lookup engine would create a private one that the
-            # facade cannot see.
+            # Always own the query cache, so the service layer's
+            # whole-response entries and the lookup engine's tagged queries
+            # share one cache the facade can see.
             cache = TTLCache(
                 max_entries=config.cache_max_entries,
                 default_ttl=config.cache_ttl_seconds,
             )
         self.cache = cache
+        if cache is not None:
+            # Whole-response entries are untagged (their dependencies are
+            # unknown), so every dictionary write drops them.
+            dictionary.register_observer(self)
         self.lookup_engine = LookupEngine(dictionary, config=config, cache=cache)
         self.normalizer = Normalizer(dictionary, scorer=scorer, config=config)
         self.perturber = Perturber(self.lookup_engine, config=config, rng=rng)
@@ -230,8 +234,8 @@ class CrypText:
     def batch(self) -> "BatchEngine":
         """The batch throughput engine bound to this system (lazily built).
 
-        Shares this instance's query cache, so batch and per-call traffic
-        keep each other warm, and is kept in sync by :meth:`learn_from`.
+        Shares this instance's query cache and compiled buckets, so batch
+        and per-call traffic keep each other warm.
         """
         if self._batch_engine is None:
             self._batch_engine = self.make_batch_engine()
@@ -239,14 +243,12 @@ class CrypText:
 
     def make_batch_engine(
         self,
-        num_shards: int = 4,
         chunk_size: int = 256,
         max_in_flight: int = 4,
     ) -> "BatchEngine":
-        """Build a batch engine over this system with custom shard/stream knobs.
+        """Build a batch engine over this system with custom stream knobs.
 
-        The returned engine becomes the one :attr:`batch` exposes and the one
-        :meth:`learn_from` keeps synchronized.
+        The returned engine becomes the one :attr:`batch` exposes.
         """
         from ..batch import BatchEngine
 
@@ -256,7 +258,6 @@ class CrypText:
             config=self.config,
             scorer=self.scorer,
             perturber=self.perturber,
-            num_shards=num_shards,
             chunk_size=chunk_size,
             max_in_flight=max_in_flight,
         )
@@ -274,8 +275,8 @@ class CrypText:
     ) -> list[LookupResult]:
         """Batch Look Up: one result per query, input order preserved.
 
-        Identical to calling :meth:`look_up` once per query, but duplicates
-        are resolved once and sound buckets are retrieved shard-parallel.
+        Identical to calling :meth:`look_up` once per query, but duplicate
+        queries and sound buckets are resolved once.
         ``use_transpositions`` overrides the distance policy for the batch.
         """
         return self.batch.look_up_batch(
@@ -309,33 +310,24 @@ class CrypText:
     def learn_from(self, texts: Iterable[str], source: str = "stream") -> int:
         """Enrich the dictionary with newly observed texts (crawler path).
 
-        Cache invalidation is shard-scoped: only cached queries whose sound
-        buckets actually changed are dropped (plus untagged entries such as
-        whole-response service caches, whose dependencies are unknown);
-        unrelated cached queries survive the enrichment.  The batch engine's
-        sharded index, if one was built, is refreshed for the same keys.
+        Invalidation is sound-scoped and runs through the dictionary's
+        observers: only cached queries whose sound buckets actually changed
+        are dropped (plus untagged entries such as whole-response service
+        caches, whose dependencies are unknown); unrelated cached queries
+        survive the enrichment.
         """
-        changed: set[tuple[int, str]] = set()
-        added = self.dictionary.learn_batch(texts, source=source, changed_keys=changed)
-        self.note_external_changes(changed)
-        return added
+        return self.dictionary.learn_batch(texts, source=source)
 
-    def note_external_changes(self, changed: set[tuple[int, str]]) -> None:
-        """Propagate dictionary changes that bypassed this facade's writers.
+    def note_changes(self, changed_keys: set[tuple[int, str]] | None) -> None:
+        """Dictionary write notification (the ``ChangeObserver`` hook).
 
-        The invalidation half of :meth:`learn_from`, shared with follower
-        replication (which mutates the dictionary by replaying WAL records):
-        refreshes the batch engine's sharded index and drops exactly the
-        cached queries whose sound buckets changed, plus untagged entries
-        whose dependencies are unknown.
+        Drops the untagged whole-response entries of this system's cache;
+        the lookup engine drops its own tagged queries.  ``None`` (a
+        snapshot load or a replay reset) clears the whole cache.
         """
-        if self._batch_engine is not None:
-            # Refreshes the sharded index and invalidates both the memoized
-            # normalization candidates and the tagged query-cache entries.
-            self._batch_engine.apply_enrichment(changed)
+        if changed_keys is None:
+            self.cache.clear()
         else:
-            self.lookup_engine.invalidate_sounds(changed)
-        if self.cache is not None and changed:
             self.cache.invalidate_untagged()
 
     def stats(self) -> DictionaryStats:
@@ -369,17 +361,12 @@ class CrypText:
         """Crash recovery: hydrate base + deltas, then replay the WAL tail.
 
         Delegates to
-        :meth:`~repro.core.dictionary.PerturbationDictionary.recover` and
-        then drops every response-level cache (query cache, batch memo), so
-        nothing computed against the pre-recovery state survives.  The
-        change log stays attached: subsequent writes keep journaling.
+        :meth:`~repro.core.dictionary.PerturbationDictionary.recover`, whose
+        state replacement tells every cache owner to clear, so nothing
+        computed against the pre-recovery state survives.  The change log
+        stays attached: subsequent writes keep journaling.
         """
-        report = self.dictionary.recover(snapshot_dir, wal_dir=wal_dir, strict=strict)
-        if self.cache is not None:
-            self.cache.clear()
-        if self._batch_engine is not None:
-            self._batch_engine.memo.clear()
-        return report
+        return self.dictionary.recover(snapshot_dir, wal_dir=wal_dir, strict=strict)
 
     def make_maintenance_scheduler(
         self,
@@ -415,25 +402,13 @@ class CrypText:
         return self._maintenance
 
     def load_snapshot(self, path=None, strict: bool = False):
-        """Hydrate the dictionary and every live cache layer from a snapshot.
+        """Hydrate the dictionary and its compiled buckets from a snapshot.
 
-        On success the batch engine's sharded index (when one was built) is
-        warmed from the same snapshot and the query cache is cleared, so no
-        stale pre-load result survives.  On failure (corrupt file, version
-        or fingerprint mismatch) the system keeps its current state and the
-        report's ``reason`` says why — unless ``strict``, which raises.
+        On success every cache owner (query cache, response cache, batch
+        memo) is told to clear, so no stale pre-load result survives, and
+        the compiled-bucket cache that every read path shares is pre-seeded
+        from the snapshot.  On failure (corrupt file, version or fingerprint
+        mismatch) the system keeps its current state and the report's
+        ``reason`` says why — unless ``strict``, which raises.
         """
-        report = self.dictionary.load_snapshot(path, strict=strict)
-        if report.loaded:
-            if self.cache is not None:
-                self.cache.clear()
-            if self._batch_engine is not None:
-                self._batch_engine.memo.clear()
-                # Re-warm the already-built shards from the same snapshot
-                # (the observer refresh only *drops* their compiled tries);
-                # the fingerprint matches by construction, so this installs
-                # the hydrated families instead of recompiling per bucket.
-                self._batch_engine.warm_from_snapshot(
-                    self.dictionary._snapshot_path(path)
-                )
-        return report
+        return self.dictionary.load_snapshot(path, strict=strict)

@@ -1,7 +1,7 @@
 """Follower replicas: hydrate from the snapshot chain, tail the leader's WAL.
 
 A :class:`Follower` owns a complete read-only :class:`~repro.core.pipeline.CrypText`
-system of its own — documents, compiled tries, batch shards, query cache —
+system of its own — documents, compiled tries, query cache —
 reconstructed from the leader's persisted artifacts and kept fresh by
 polling the journal:
 
@@ -14,10 +14,10 @@ polling the journal:
    position (:class:`~repro.replication.tailer.WalTail`) and apply it
    through the same replay core crash recovery uses
    (:meth:`~repro.core.dictionary.PerturbationDictionary.apply_wal_record`),
-   invalidating exactly the caches whose sound buckets changed.  Applying
-   is idempotent by sequence number: a record at or below the applied
-   position is never applied twice, so a follower killed mid-catch-up
-   simply re-tails.
+   whose writes reach the replica's caches through the dictionary's
+   observers, like any other write.  Applying is idempotent by sequence
+   number: a record at or below the applied position is never applied
+   twice, so a follower killed mid-catch-up simply re-tails.
 3. **degrade gracefully** — when the leader truncates or supersedes
    segments under the tail (a gap), the follower re-hydrates from the
    latest chain, which by the truncation contract covers everything the
@@ -164,12 +164,6 @@ class Follower:
             if chain is None:
                 return False
             self.system.dictionary.hydrate_snapshot(chain.snapshot)
-            if self.system.cache is not None:
-                self.system.cache.clear()
-            engine = self.system._batch_engine
-            if engine is not None:
-                engine.memo.clear()
-                engine.warm_from_snapshot(chain.snapshot)
             self._applied_seq = chain.snapshot.wal_seq
             self._hydrated = True
             self._mapped = chain.mapped
@@ -230,12 +224,11 @@ class Follower:
                 return 0
         if batch.truncated:
             self._throttled_polls += 1
-        changed: set[tuple[int, str]] = set()
         applied = 0
         for record in batch.records:
             if record.seq <= self._applied_seq:
                 continue
-            if self.system.dictionary.apply_wal_record(record, changed_keys=changed):
+            if self.system.dictionary.apply_wal_record(record):
                 self._applied_records += 1
             else:
                 self._skipped_records += 1
@@ -246,8 +239,6 @@ class Follower:
             if self._applied_seq_log is not None:
                 self._applied_seq_log.add(record.seq)
             applied += 1
-        if changed:
-            self.system.note_external_changes(changed)
         self._last_sync = self._clock()
         return applied
 
@@ -330,13 +321,10 @@ class Follower:
             thread.join()
 
     def close(self) -> None:
-        """Stop tailing and release the replica's own executors."""
+        """Stop tailing; later polls apply nothing."""
         self.stop()
         with self._lock:
             self._closed = True
-            engine = self.system._batch_engine
-        if engine is not None:
-            engine.close()
 
     # ------------------------------------------------------------------ #
     # staleness & stats

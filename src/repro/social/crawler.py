@@ -14,7 +14,7 @@ benchmark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..core.dictionary import PerturbationDictionary
@@ -37,7 +37,6 @@ class CrawlReport:
     new_keys: int
     dictionary_size: int
     unique_keys: int
-    shards_touched: tuple[int, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict[str, object]:
         """Serialize for the growth benchmark and monitoring exports."""
@@ -49,7 +48,6 @@ class CrawlReport:
             "new_keys": self.new_keys,
             "dictionary_size": self.dictionary_size,
             "unique_keys": self.unique_keys,
-            "shards_touched": list(self.shards_touched),
         }
 
 
@@ -68,10 +66,9 @@ class StreamCrawler:
         Source tag recorded on every dictionary entry added by this crawler.
     batch_engine:
         Optional batch engine.  When present, each round is ingested through
-        :meth:`BatchEngine.enrich`, which keeps the sharded phonetic index
-        synchronized and invalidates exactly the cached queries whose sound
-        buckets the round changed (instead of serving an always-on reader
-        population stale or cold results).
+        :meth:`BatchEngine.enrich`.  Either way every cache built on the
+        dictionary observes its writes, so a round drops exactly the cached
+        queries whose sound buckets it changed.
     scheduler:
         Optional :class:`~repro.wal.maintenance.MaintenanceScheduler`.
         When present, every crawl round ends with a cooperative
@@ -135,11 +132,8 @@ class StreamCrawler:
         stats_before = self.dictionary.stats()
         level = self.dictionary.config.phonetic_level
         texts = [str(post["text"]) for post in batch]
-        shards_touched: tuple[int, ...] = ()
         if self.batch_engine is not None:
-            enrichment = self.batch_engine.enrich(texts, source=self.source_label)
-            tokens_seen = enrichment.added
-            shards_touched = tuple(sorted(enrichment.shards_touched))
+            tokens_seen = self.batch_engine.enrich(texts, source=self.source_label).added
         else:
             tokens_seen = sum(
                 self.dictionary.add_text(text, source=self.source_label)
@@ -156,7 +150,6 @@ class StreamCrawler:
             new_keys=stats_after.unique_keys[level] - stats_before.unique_keys[level],
             dictionary_size=stats_after.total_tokens,
             unique_keys=stats_after.unique_keys[level],
-            shards_touched=shards_touched,
         )
         self.history.append(report)
         if self.scheduler is not None:

@@ -92,7 +92,7 @@ class SocialListener:
         Cap on how many perturbations per keyword are used as extra queries.
     batch_engine:
         Optional batch engine; when present, watch-lists are expanded through
-        :meth:`BatchEngine.look_up_batch` (deduplicated, shard-parallel)
+        :meth:`BatchEngine.look_up_batch` (queries and buckets deduplicated)
         instead of one Look Up per keyword.
     """
 

@@ -12,9 +12,10 @@ repeated Look Up / Normalization requests are served from memory (paper
 * hit/miss/eviction statistics (used by the cache ablation benchmark);
 * an injectable clock so tests can control expiry deterministically;
 * optional *tags* on entries so groups of related keys can be invalidated
-  together (the batch engine tags every cached Look Up result with its
-  phonetic sound key, letting dictionary enrichment drop exactly the stale
-  buckets instead of flushing the whole cache);
+  together (the lookup engine tags every cached Look Up result with its
+  phonetic sound key, letting a dictionary write drop exactly the stale
+  buckets instead of flushing the whole cache), and an index of the
+  untagged entries so dropping them all costs only their own number;
 * thread safety — the batch engine serves Look Up / Normalization from
   worker threads while the crawler enriches the dictionary concurrently.
 
@@ -115,6 +116,9 @@ class TTLCache:
         self._clock = clock or time.monotonic
         self._entries: OrderedDict[Hashable, _Entry] = OrderedDict()
         self._tag_index: dict[Hashable, set[Hashable]] = {}
+        # Keys of the entries that carry no tags, kept in step with
+        # _entries by every store and removal (see _link/_unlink).
+        self._untagged: set[Hashable] = set()
         self._lock = tracked_rlock("storage.cache")
         self.stats = CacheStats()
 
@@ -126,7 +130,15 @@ class TTLCache:
         return self.get(key, default=_MISSING) is not _MISSING
 
     # ------------------------------------------------------------------ #
-    def _unlink_tags(self, key: Hashable, entry: _Entry) -> None:
+    def _link(self, key: Hashable, tags: tuple[Hashable, ...]) -> None:
+        if not tags:
+            self._untagged.add(key)
+        for tag in tags:
+            self._tag_index.setdefault(tag, set()).add(key)
+
+    def _unlink(self, key: Hashable, entry: _Entry) -> None:
+        if not entry.tags:
+            self._untagged.discard(key)
         for tag in entry.tags:
             keys = self._tag_index.get(tag)
             if keys is None:
@@ -138,7 +150,7 @@ class TTLCache:
     def _remove(self, key: Hashable) -> _Entry | None:
         entry = self._entries.pop(key, None)
         if entry is not None:
-            self._unlink_tags(key, entry)
+            self._unlink(key, entry)
         return entry
 
     def set(
@@ -163,13 +175,12 @@ class TTLCache:
                 self._remove(key)
             elif len(self._entries) >= self.max_entries:
                 oldest_key, oldest_entry = self._entries.popitem(last=False)
-                self._unlink_tags(oldest_key, oldest_entry)
+                self._unlink(oldest_key, oldest_entry)
                 self.stats.evictions += 1
             self._entries[key] = _Entry(
                 value=value, expires_at=now + lifetime, tags=frozen_tags
             )
-            for tag in frozen_tags:
-                self._tag_index.setdefault(tag, set()).add(key)
+            self._link(key, frozen_tags)
             self.stats.sets += 1
 
     def set_if(
@@ -184,10 +195,10 @@ class TTLCache:
 
         The guard runs under the cache lock, so the check and the store
         cannot interleave with :meth:`invalidate_tag`.  With writers that
-        bump an epoch *before* dropping tagged entries, a reader that
-        captures the epoch, computes, then calls ``set_if`` with a
-        ``guard`` comparing epochs can never leave a stale entry behind:
-        either the guard sees the moved epoch and skips the store, or the
+        bump a version *before* dropping tagged entries, a reader that
+        captures the version, computes, then calls ``set_if`` with a
+        ``guard`` comparing versions can never leave a stale entry behind:
+        either the guard sees the moved version and skips the store, or the
         store lands before the invalidation and is dropped by it.  Returns
         whether the value was stored.
         """
@@ -257,14 +268,15 @@ class TTLCache:
     def invalidate_untagged(self) -> int:
         """Drop every entry that carries no tags; returns removals.
 
-        Used by enrichment: tagged entries are invalidated precisely by sound
-        key, while untagged entries (e.g. whole-response service caches whose
-        dependencies are unknown) must be dropped conservatively.
+        Used on every dictionary write: tagged entries are invalidated
+        precisely by sound key, while untagged entries (e.g. whole-response
+        service caches whose dependencies are unknown) must be dropped
+        conservatively.  Costs O(untagged entries), not O(cache size).
         """
         with self._lock:
-            doomed = [key for key, entry in self._entries.items() if not entry.tags]
+            doomed, self._untagged = self._untagged, set()
             for key in doomed:
-                self._remove(key)
+                del self._entries[key]
             return len(doomed)
 
     def clear(self) -> None:
@@ -272,6 +284,7 @@ class TTLCache:
         with self._lock:
             self._entries.clear()
             self._tag_index.clear()
+            self._untagged.clear()
 
     def keys(self) -> tuple[Hashable, ...]:
         """Currently stored keys, in LRU order (least recently used first).

@@ -27,7 +27,7 @@ multi-megabyte object graph on every load.  :func:`read_snapshot` refuses
 anything with the wrong format version, a
 checksum mismatch, or a structurally malformed body by raising
 :class:`~repro.errors.SnapshotError`; callers that asked for a graceful load
-(the dictionary, the sharded index, the CLI/DB auto-hydrate) catch it and
+(the dictionary, the CLI/DB auto-hydrate) catch it and
 fall back to recompilation, so a corrupt or stale snapshot can never take a
 service down — it only costs the warm start.
 
@@ -35,7 +35,7 @@ This module deliberately knows nothing about the dictionary or the matcher:
 it stores opaque family payloads, keeping the storage layer below the core
 layer.  The save/load orchestration lives in
 :meth:`repro.core.dictionary.PerturbationDictionary.save_snapshot` /
-``load_snapshot`` and :meth:`repro.batch.sharded_index.ShardedPhoneticIndex.warm`.
+``load_snapshot``.
 """
 
 from __future__ import annotations
@@ -350,10 +350,9 @@ def shard_of(key: str, num_shards: int) -> int:
     """Stable shard assignment for a key (``crc32 % num_shards``).
 
     CRC-32 rather than ``hash()`` so the assignment survives
-    ``PYTHONHASHSEED`` randomization across processes and restarts — the
-    same property the batch layer's sharded phonetic index relies on (it
-    imports this function), and what lets a v2 snapshot's shard files be
-    warmed by the index shard that owns the same keys.
+    ``PYTHONHASHSEED`` randomization across processes and restarts: a v2
+    snapshot written by one process places every key in the shard file
+    another process will look for it in.
     """
     return zlib.crc32(key.encode("utf-8")) % num_shards
 

@@ -20,7 +20,7 @@ A durable deployment has three recurring chores:
 * **in the background** — :meth:`start` spawns a daemon thread waking every
   few seconds, for services whose request loops should never pay a save
   inline.  Saves run concurrently with readers (the dictionary snapshots
-  its state under its own write lock), so shards keep serving while a
+  its state under its own write lock), so reads keep being served while a
   snapshot is written.
 
 Truncation safety: the WAL is truncated only through positions covered by a

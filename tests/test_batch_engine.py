@@ -1,9 +1,9 @@
 """Unit and integration tests for the batch throughput layer (repro.batch).
 
-Covers the sharded phonetic index, the batch engine's dedup/memoization and
-streaming semantics, the facade wiring (including shard-scoped cache
-invalidation in ``learn_from``), the ``/v1/batch/*`` service endpoints, the
-CLI ``batch`` command, and the batch paths of the social listener/crawler.
+Covers the batch engine's dedup/memoization and streaming semantics, the
+facade wiring (including sound-scoped cache invalidation in ``learn_from``),
+the ``/v1/batch/*`` service endpoints, the CLI ``batch`` command, the batch
+paths of the social listener/crawler, and the tagged cache primitives.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pytest
 
 from repro import CrypText
 from repro.api import CrypTextService
-from repro.batch import BatchEngine, ShardedPhoneticIndex, shard_of
+from repro.batch import BatchEngine
 from repro.cli import main as cli_main
 from repro.errors import CrypTextError
 from repro.social import SocialListener, SocialPlatform, StreamCrawler
@@ -50,83 +50,6 @@ def system() -> CrypText:
 @pytest.fixture()
 def engine(system: CrypText) -> BatchEngine:
     return system.batch
-
-
-# --------------------------------------------------------------------------- #
-# sharded index
-# --------------------------------------------------------------------------- #
-class TestShardedIndex:
-    def test_shard_of_is_stable_and_in_range(self):
-        keys = ["DE52632", "RE1425", "AM250", "VA250", "TH000"]
-        for key in keys:
-            assert 0 <= shard_of(key, 4) < 4
-            assert shard_of(key, 4) == shard_of(key, 4)
-        assert all(shard_of(key, 1) == 0 for key in keys)
-
-    def test_rejects_bad_shard_count(self, system):
-        with pytest.raises(CrypTextError):
-            ShardedPhoneticIndex(system.dictionary, num_shards=0)
-
-    def test_bucket_matches_dictionary(self, system):
-        index = ShardedPhoneticIndex(system.dictionary, num_shards=4)
-        for query in ("democrats", "amazon", "vaccine"):
-            key = system.dictionary.encoder(1).encode(query)
-            assert list(index.bucket(key, 1)) == system.dictionary.tokens_for_key(
-                key, phonetic_level=1
-            )
-
-    def test_english_bucket_filters_words(self, system):
-        index = ShardedPhoneticIndex(system.dictionary, num_shards=2)
-        key = system.dictionary.encoder(1).encode("democrats")
-        english = index.english_bucket(key, 1)
-        assert english
-        assert all(entry.is_word for entry in english)
-
-    def test_every_entry_lands_in_exactly_one_shard(self, system):
-        index = ShardedPhoneticIndex(system.dictionary, num_shards=4)
-        stats = index.shard_stats()
-        total = sum(stat.num_entries for stat in stats)
-        expected = sum(
-            1
-            for document in system.dictionary.collection.find(None)
-            if "k1" in document["keys"]
-        )
-        assert total == expected
-
-    def test_refresh_keys_picks_up_new_tokens(self, system):
-        index = ShardedPhoneticIndex(system.dictionary, num_shards=4)
-        key = system.dictionary.encoder(1).encode("democrats")
-        before = index.bucket(key, 1)
-        changed: set[tuple[int, str]] = set()
-        system.dictionary.add_token("demmocrats", changed_keys=changed)
-        touched = index.refresh_keys(changed)
-        assert shard_of(key, 4) in touched
-        after = index.bucket(key, 1)
-        assert len(after) == len(before) + 1
-        assert "demmocrats" in {entry.token for entry in after}
-
-    def test_out_of_band_growth_triggers_rebuild(self, system):
-        index = ShardedPhoneticIndex(system.dictionary, num_shards=2)
-        key = system.dictionary.encoder(1).encode("amazon")
-        index.bucket(key, 1)  # force a build
-        system.dictionary.add_token("amazzon")  # no refresh_keys call
-        assert "amazzon" in {entry.token for entry in index.bucket(key, 1)}
-
-    def test_shard_compiled_cache_evicts_lru_not_fifo(self, system):
-        index = ShardedPhoneticIndex(system.dictionary, num_shards=1)
-        shard = index._shards[0]
-        shard.compiled_max = 2
-        encoder = system.dictionary.encoder(1)
-        k_hot, k_cold, k_new = (
-            encoder.encode(word) for word in ("democrats", "amazon", "vaccine")
-        )
-        hot = index.compiled_bucket(k_hot, 1)
-        index.compiled_bucket(k_cold, 1)
-        # The hit refreshes recency, so overflow evicts the cold bucket.
-        assert index.compiled_bucket(k_hot, 1) is hot
-        index.compiled_bucket(k_new, 1)
-        assert index.compiled_bucket(k_hot, 1) is hot
-        assert set(shard.compiled) == {(1, k_hot), (1, k_new)}
 
 
 # --------------------------------------------------------------------------- #
@@ -198,7 +121,10 @@ class TestBatchEngine:
     def test_stats_exposes_shards_and_caches(self, engine):
         engine.look_up_batch(["democrats"])
         stats = engine.stats()
-        assert stats["index"]["num_shards"] == 4
+        # The batch path reads the dictionary's compiled-bucket cache, so
+        # its counters are the ones exported.
+        assert stats["compiled_buckets"] == engine.dictionary.compiled_cache_stats()
+        assert stats["compiled_buckets"]["misses"] >= 1
         assert "hits" in stats["memo"]
 
 
@@ -238,14 +164,18 @@ class TestStreaming:
 
 class TestEnrichment:
     def test_enrich_reports_scope(self, engine):
-        engine.look_up_batch(["democrats"])  # materialize the index
+        engine.look_up_batch(["democrats"])  # warm the caches
         report = engine.enrich(["the demmocrats lie"], source="test")
         assert report.added == 3
-        assert report.shards_touched
-        assert report.to_dict()["num_changed_sounds"] == len(report.changed_sounds)
+        democrats = engine.dictionary.encoder(1).encode("democrats")
+        assert (1, democrats) in report.changed_sounds
+        assert report.to_dict() == {
+            "added": 3,
+            "num_changed_sounds": len(report.changed_sounds),
+        }
 
     def test_enrich_makes_new_perturbations_visible(self, engine):
-        engine.look_up_batch(["democrats"])  # warm cache + index
+        engine.look_up_batch(["democrats"])  # warm the caches
         engine.enrich(["the demmocrats lie"])
         result = engine.look_up_batch(["democrats"])[0]
         assert "demmocrats" in result.tokens
@@ -264,7 +194,7 @@ class TestEnrichment:
 
 
 # --------------------------------------------------------------------------- #
-# facade wiring + shard-scoped invalidation (the learn_from bug fix)
+# facade wiring + sound-scoped invalidation (the learn_from bug fix)
 # --------------------------------------------------------------------------- #
 class TestFacade:
     def test_facade_batch_methods_delegate(self, system):
@@ -272,9 +202,9 @@ class TestFacade:
         assert system.normalize_batch(TEXTS) == system.batch.normalize_batch(TEXTS)
 
     def test_make_batch_engine_rebinds(self, system):
-        engine = system.make_batch_engine(num_shards=2, chunk_size=7)
+        engine = system.make_batch_engine(chunk_size=7, max_in_flight=3)
         assert system.batch is engine
-        assert engine.num_shards == 2 and engine.chunk_size == 7
+        assert engine.chunk_size == 7 and engine.max_in_flight == 3
 
     def test_learn_from_invalidation_is_shard_scoped(self, system):
         cache = system.cache
@@ -367,7 +297,7 @@ class TestCliBatch:
         code = cli_main(
             [
                 "batch", "normalize", "--input", str(path), "--output", str(out_path),
-                "--posts", "120", "--seed", "3", "--shards", "2", "--chunk-size", "2",
+                "--posts", "120", "--seed", "3", "--chunk-size", "2",
             ]
         )
         assert code == 0
@@ -432,7 +362,7 @@ class TestSocialBatchPaths:
         )
         report = crawler.crawl_once()
         assert report is not None
-        assert report.shards_touched
+        assert report.tokens_seen == 6  # counted by BatchEngine.enrich
         tokens = engine.look_up_batch(["democrats"])[0].tokens
         assert "demmocrats" in tokens
 
@@ -480,3 +410,41 @@ class TestTaggedCache:
         now[0] = 11.0
         assert cache.get("a") is None
         assert cache.invalidate_tag("t") == 0
+
+    def test_overwriting_an_untagged_key_with_tags_untracks_it(self):
+        cache = TTLCache(max_entries=8, default_ttl=60.0)
+        cache.set("a", 1)
+        cache.set("a", 2, tags=["t"])
+        assert cache.invalidate_untagged() == 0
+        assert cache.get("a") == 2
+        cache.set("a", 3)  # and back: untagged again, counted once
+        cache.set("a", 4)
+        assert cache.invalidate_untagged() == 1
+        assert cache.invalidate_tag("t") == 0 and len(cache) == 0
+
+    def test_evicted_untagged_key_is_not_dropped_twice(self):
+        cache = TTLCache(max_entries=2, default_ttl=60.0)
+        cache.set("a", 1)
+        cache.set("b", 2, tags=["t"])
+        cache.set("c", 3)  # evicts "a"
+        assert cache.invalidate_untagged() == 1
+        assert cache.keys() == ("b",)
+        assert cache.invalidate_untagged() == 0
+
+    def test_expired_untagged_key_is_not_dropped_twice(self):
+        now = [0.0]
+        cache = TTLCache(max_entries=8, default_ttl=10.0, clock=lambda: now[0])
+        cache.set("a", 1)
+        cache.set("b", 2)
+        now[0] = 11.0
+        assert cache.get("a") is None  # lazy expiry drops it on read
+        assert cache.invalidate_untagged() == 1
+        assert len(cache) == 0
+
+    def test_clear_forgets_untagged_keys(self):
+        cache = TTLCache(max_entries=8, default_ttl=60.0)
+        cache.set("a", 1)
+        cache.clear()
+        cache.set("a", 2, tags=["t"])
+        assert cache.invalidate_untagged() == 0
+        assert cache.get("a") == 2

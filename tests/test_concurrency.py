@@ -1,4 +1,4 @@
-"""Concurrency tests: TTLCache, the sharded index, and enrichment-vs-lookup.
+"""Concurrency tests: TTLCache, the version guard, and enrichment-vs-lookup.
 
 The batch engine serves Look Up / Normalization from worker threads while
 the crawler enriches the dictionary concurrently, so the storage substrate
@@ -8,11 +8,13 @@ and the batch layer must tolerate that interleaving:
   counter updates, or capacity violations;
 * ``look_up_batch`` and ``learn_from`` run concurrently without losing
   dictionary writes and without serving stale cached results once the
-  writers have finished (shard-scoped invalidation is exercised on every
+  writers have finished (sound-scoped invalidation is exercised on every
   enrichment);
+* a retrieval that straddles a write never caches its pre-write answer
+  (a deterministic two-thread interleaving pins the dictionary's version
+  guard);
 * results are deterministic under a fixed seed — two identical systems
-  produce identical batch results, and repeated parallel retrieval on one
-  engine is stable.
+  produce identical batch results.
 """
 
 from __future__ import annotations
@@ -205,6 +207,80 @@ class TestLookupLearnConcurrency:
         ] == expected
 
 
+class TestVersionGuard:
+    def test_memo_never_stores_a_retrieval_that_straddled_a_write(self, monkeypatch):
+        """A batch normalization racing a write must not memoize the old answer.
+
+        The writer pauses where it enters the compiled-bucket lock; the
+        reader retrieves and ranks during that pause and then pauses
+        before its memo store until the write has finished.  The version
+        the reader captured must fail the store guard, or the pre-write
+        answer would be served until the memo's TTL ran out.
+        """
+        system = CrypText.from_corpus(["they fear the vacc1ne shot"], seed_lexicon=False)
+        engine = system.batch
+        assert engine.normalize_batch(["vacc1ne"])[0].normalized_text == "vacc1ne"
+        engine.memo.clear()  # force a fresh retrieval over the warm bucket
+
+        writer_paused = threading.Event()
+        reader_ranked = threading.Event()
+        writer_done = threading.Event()
+
+        class PausingLock:
+            """Pauses the writer thread once, just before it takes the lock."""
+
+            def __init__(self, lock):
+                self.lock = lock
+                self.paused = False
+
+            def __enter__(self):
+                if threading.current_thread().name == "writer" and not self.paused:
+                    self.paused = True
+                    writer_paused.set()
+                    reader_ranked.wait(5)
+                return self.lock.__enter__()
+
+            def __exit__(self, *exc_info):
+                return self.lock.__exit__(*exc_info)
+
+        dictionary = system.dictionary
+        monkeypatch.setattr(
+            dictionary, "_compiled_lock", PausingLock(dictionary._compiled_lock)
+        )
+        set_if = engine.memo.set_if
+
+        def paused_set_if(*args, **kwargs):
+            reader_ranked.set()
+            writer_done.wait(5)
+            return set_if(*args, **kwargs)
+
+        monkeypatch.setattr(engine.memo, "set_if", paused_set_if)
+
+        def write():
+            dictionary.add_token("vaccine")
+            writer_done.set()
+
+        answers: list[str] = []
+        writer = threading.Thread(target=write, name="writer")
+        reader = threading.Thread(
+            target=lambda: answers.append(
+                engine.normalize_batch(["vacc1ne"])[0].normalized_text
+            )
+        )
+        writer.start()
+        assert writer_paused.wait(5)
+        reader.start()
+        writer.join(10)
+        reader.join(10)
+        assert not writer.is_alive() and not reader.is_alive()
+        assert reader_ranked.is_set() and writer_done.is_set()
+        assert answers == ["vacc1ne"]  # read before the write: fine once
+        monkeypatch.undo()
+
+        assert engine.normalize_batch(["vacc1ne"])[0].normalized_text == "vaccine"
+        assert system.normalize("vacc1ne").normalized_text == "vaccine"
+
+
 # --------------------------------------------------------------------------- #
 # determinism under a fixed seed
 # --------------------------------------------------------------------------- #
@@ -215,7 +291,7 @@ class TestDeterminism:
         snapshots = []
         for _ in range(2):
             system = CrypText.from_corpus(CORPUS)
-            engine = system.make_batch_engine(num_shards=4)
+            engine = system.make_batch_engine()
             snapshots.append(
                 (
                     engine.look_up_batch(queries),
@@ -228,15 +304,6 @@ class TestDeterminism:
         assert [o.perturbed_text for o in snapshots[0][2]] == [
             o.perturbed_text for o in snapshots[1][2]
         ]
-
-    def test_parallel_retrieval_is_order_stable(self):
-        system = CrypText.from_corpus(CORPUS, train_scorer=False)
-        engine = system.make_batch_engine(num_shards=8)
-        engine.parallel_threshold = 1  # force the worker-pool path
-        queries = WATCHED * 10
-        first = engine.look_up_batch(queries)
-        for _ in range(5):
-            assert engine.look_up_batch(queries) == first
 
 
 # --------------------------------------------------------------------------- #

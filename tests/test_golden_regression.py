@@ -173,8 +173,8 @@ def compare_cold_and_warm_systems(distances=(1, 3), shards=0) -> int:
     """Golden-corpus equality guard for the warm-start snapshot subsystem.
 
     Builds the golden system cold, snapshots it, hydrates a *fresh* system
-    (documents + pre-built tries, batch shards warmed from the same file),
-    and asserts field-identical Look Up results — sequential and batch —
+    (documents + pre-built tries, with its batch engine built before the
+    load), and asserts field-identical Look Up results — sequential and batch —
     plus identical normalization outputs for every golden input.  Shared by
     the tier-1 test below and the CI smoke guard in
     ``benchmarks/bench_cold_start.py`` so the two checks cannot drift apart.
@@ -192,10 +192,9 @@ def compare_cold_and_warm_systems(distances=(1, 3), shards=0) -> int:
         snapshot_path = Path(tmp) / "golden.snapshot.json"
         cold.save_snapshot(snapshot_path, shards=shards or None)
         warm = CrypText.empty(seed_lexicon=False)
+        engine = warm.batch  # built before the load, which must reach it
         report = warm.load_snapshot(snapshot_path, strict=True)
         assert report.loaded and report.hydrated_tries, report
-        shard_report = warm.batch.warm_from_snapshot(snapshot_path)
-        assert shard_report.loaded, shard_report
 
         queries = sorted({token for text in GOLDEN_INPUTS for token in text.split()})
         for query in queries:
@@ -207,7 +206,7 @@ def compare_cold_and_warm_systems(distances=(1, 3), shards=0) -> int:
                     f"{query!r} (d={distance})"
                 )
                 compared += 1
-        assert cold.look_up_batch(queries) == warm.look_up_batch(queries)
+        assert cold.look_up_batch(queries) == engine.look_up_batch(queries)
         compared += len(queries)
 
         # The hydrated system carries no trained scorer; compare against a
@@ -219,8 +218,6 @@ def compare_cold_and_warm_systems(distances=(1, 3), shards=0) -> int:
                 cold_plain.normalize(text).to_dict() == warm.normalize(text).to_dict()
             ), f"warm-start normalization diverged on {text!r}"
             compared += 1
-        cold.batch.close()
-        warm.batch.close()
     return compared
 
 
@@ -308,8 +305,6 @@ def compare_cold_and_recovered_systems(distances=(1, 3)) -> int:
                 cold.normalize(text).to_dict() == recovered.normalize(text).to_dict()
             ), f"recovered normalization diverged on {text!r}"
             compared += 1
-        cold.batch.close()
-        recovered.batch.close()
     return compared
 
 

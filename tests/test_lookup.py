@@ -205,12 +205,9 @@ class TestTranspositionOverride:
         config = CrypTextConfig(phonetic_level=0, edit_distance=1)
         dictionary = PerturbationDictionary.from_corpus(self.CORPUS, config=config)
         dictionary.seed_lexicon(["the", "thing", "vaccine"])
-        engine = BatchEngine(dictionary, config=config, num_shards=2)
-        try:
-            sequential = engine.lookup_engine.look_up("teh", use_transpositions=True)
-            (batched,) = engine.look_up_batch(["teh"], use_transpositions=True)
-            assert batched == sequential
-            (plain,) = engine.look_up_batch(["teh"])
-            assert "the" not in plain.tokens
-        finally:
-            engine.close()
+        engine = BatchEngine(dictionary, config=config)
+        sequential = engine.lookup_engine.look_up("teh", use_transpositions=True)
+        (batched,) = engine.look_up_batch(["teh"], use_transpositions=True)
+        assert batched == sequential
+        (plain,) = engine.look_up_batch(["teh"])
+        assert "the" not in plain.tokens

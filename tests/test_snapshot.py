@@ -262,24 +262,35 @@ class TestShardedWarmStart:
         system.save_snapshot(path)
 
         fresh = CrypText.empty(seed_lexicon=False)
-        assert fresh.load_snapshot(path).loaded
-        report = fresh.batch.warm_from_snapshot(path)
+        engine = fresh.batch  # built before the load: the load must reach it
+        report = fresh.load_snapshot(path)
         assert report.loaded and report.hydrated_tries and report.buckets > 0
         queries = ["vaccine", "democrats", "republicans", "vaccine"]
-        assert system.look_up_batch(queries) == fresh.look_up_batch(queries)
-        shard_stats = fresh.batch.index.compiled_cache_stats()
-        assert shard_stats["misses"] == 0 and shard_stats["size"] > 0
+        assert system.look_up_batch(queries) == engine.look_up_batch(queries)
+        # The batch path reads the compiled buckets the load pre-seeded.
+        stats = fresh.dictionary.compiled_cache_stats()
+        assert stats["misses"] == 0 and stats["hits"] > 0
 
-    def test_stale_snapshot_is_refused_and_engine_still_serves(self, tmp_path):
+    def test_a_write_landing_mid_load_is_not_shadowed_by_the_pre_seed(
+        self, tmp_path, monkeypatch
+    ):
         system = CrypText.from_corpus(CORPUS)
         path = tmp_path / "snap.json"
         system.save_snapshot(path)
-        system.learn_from(["brand new chatter changes the fingerprint"])
-        report = system.batch.warm_from_snapshot(path)
-        assert not report.loaded
-        assert "fingerprint" in report.reason
-        # Fallback warmed the index the normal way; results are correct.
-        assert system.look_up_batch(["vaccine"])[0] == system.look_up("vaccine")
+        fresh = CrypText.empty(seed_lexicon=False)
+        dictionary = fresh.dictionary
+        adopt = dictionary.adopt_snapshot_families
+
+        def adopt_then_write(snapshot):
+            # A concurrent writer lands after the documents are installed
+            # but before the compiled LRU is pre-seeded from the snapshot.
+            families = adopt(snapshot)
+            dictionary.add_token("vacine")
+            return families
+
+        monkeypatch.setattr(dictionary, "adopt_snapshot_families", adopt_then_write)
+        assert fresh.load_snapshot(path).loaded
+        assert "vacine" in fresh.look_up("vaccine").tokens
 
     def test_writes_after_hydration_invalidate_warm_buckets(self, tmp_path):
         system = CrypText.from_corpus(CORPUS)
@@ -296,6 +307,15 @@ class TestShardedWarmStart:
 
 class TestShardedSnapshotV2:
     """The mmap-friendly sharded layout: round trips, fallbacks, laziness."""
+
+    def test_shard_of_is_stable_and_in_range(self):
+        from repro.storage.snapshot import shard_of
+
+        keys = ["DE52632", "RE1425", "AM250", "VA250", "TH000"]
+        for key in keys:
+            assert 0 <= shard_of(key, 4) < 4
+            assert shard_of(key, 4) == shard_of(key, 4)
+        assert all(shard_of(key, 1) == 0 for key in keys)
 
     def test_direct_write_read_open_round_trip(self, tmp_path):
         from repro.storage.snapshot import (
@@ -523,15 +543,13 @@ class TestCompiledCacheCounters:
     def test_shard_stats_and_engine_stats_export_compiled_counters(self):
         system = CrypText.from_corpus(CORPUS)
         system.look_up_batch(["vaccine", "democrats", "vaccine"])
-        shard_payloads = [s.to_dict() for s in system.batch.index.shard_stats()]
-        assert all("compiled_hits" in payload for payload in shard_payloads)
-        engine_stats = system.batch.stats()
-        compiled = engine_stats["compiled_buckets"]
-        assert set(compiled) == {"shards", "dictionary", "kernels"}
-        assert compiled["shards"]["misses"] >= 1
+        compiled = system.batch.stats()["compiled_buckets"]
+        assert compiled == system.dictionary.compiled_cache_stats()
+        # Two unique sound buckets after batch dedup, each compiled once.
+        assert compiled["misses"] == 2
         # Three queries, two unique after batch dedup — each unique query
         # performs one counted match.
-        assert sum(compiled["kernels"].values()) >= 2
+        assert sum(compiled["kernels"].values()) == 2
 
     def test_trie_families_shared_across_levels(self):
         dictionary = build_dictionary()
