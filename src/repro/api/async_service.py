@@ -5,9 +5,18 @@ authentication, scopes, rate limits, validation, response caching — and
 stays exactly as it is.  :class:`AsyncCrypTextService` puts an event loop in
 front of it:
 
-* every request is dispatched to the sync handler on a **thread pool**
-  (``config.reader_processes`` workers), so one slow normalization never
-  blocks the accept loop or the other connections;
+* a **small read** (Look Up, Normalization and their batch variants, and
+  perturbation, over at most :data:`INLINE_MAX_ITEMS` items totalling at
+  most :data:`INLINE_MAX_CHARS` characters) runs its sync handler **inline
+  on the event loop**: its work is in memory, and for the typical
+  one-query request it costs less than the two GIL crossings of a thread
+  handoff would;
+* every other request — admin, snapshot and maintenance routes,
+  ``listen``, ``stats``, ``metrics``, ``replication``, reads over the
+  bound, and *every* request when a deadline is configured — is
+  dispatched to a **thread pool** (``config.reader_processes`` workers),
+  so one slow normalization never blocks the accept loop or the other
+  connections;
 * **read** endpoints (lookup / normalize and their batch variants) are
   routed across the follower replicas by the service's bound
   :class:`~repro.replication.ReplicaSet` — each request lands on one
@@ -35,11 +44,12 @@ import asyncio
 import contextlib
 import functools
 import json
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 from ..errors import CrypTextError, DeadlineExceededError, InjectedFault
 from ..obs.expose import CONTENT_TYPE as _METRICS_CONTENT_TYPE
-from ..obs.registry import OBS
+from ..obs.registry import OBS, QUEUE_WAIT_SECONDS
 from ..obs.trace import current_trace
 from ..resilience.faults import FAULTS
 from ..resilience.policies import Deadline
@@ -62,6 +72,49 @@ _REASONS = {
 #: Hard cap on accepted request bodies (a service front, not a file server).
 MAX_BODY_BYTES = 8 << 20
 
+#: Inline bound: a read whose ``queries``/``texts`` list has at most this
+#: many items, with strings totalling at most :data:`INLINE_MAX_CHARS`
+#: characters, runs on the event loop instead of the thread pool.  At the
+#: bound a handler holds the loop for about as long as a pooled one holds
+#: the GIL (tens of milliseconds cold).
+INLINE_MAX_ITEMS = 64
+INLINE_MAX_CHARS = 2048
+
+#: Cap on a request's header lines, terminators included.
+MAX_HEADER_BYTES = 16 << 10
+
+#: Before the front closes a connection it half-closes and drops at most
+#: this much further input, for at most :data:`LINGER_SECONDS`: closing a
+#: socket with unread input resets the connection, and the reset can
+#: destroy an answer the peer has not read yet (a refused header block
+#: or body is typically still arriving).
+LINGER_BYTES = 1 << 20
+LINGER_SECONDS = 1.0
+
+
+def _refuse(message: str) -> tuple[ServiceResponse, bool]:
+    """A 400 that closes the connection."""
+    return ServiceResponse(status=400, body={"error": message}), False
+
+
+async def _linger(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+    """Half-close, then drop the peer's input until it closes or the
+    :data:`LINGER_BYTES` / :data:`LINGER_SECONDS` bound is spent."""
+
+    async def drop() -> None:
+        dropped = 0
+        while dropped < LINGER_BYTES:
+            chunk = await reader.read(64 << 10)
+            if not chunk:
+                return
+            dropped += len(chunk)
+
+    try:
+        writer.write_eof()
+        await asyncio.wait_for(drop(), LINGER_SECONDS)
+    except (OSError, asyncio.TimeoutError):
+        return  # the peer is gone or slow; the caller closes either way
+
 
 class AsyncCrypTextService:
     """Event-loop front over a sync :class:`CrypTextService`.
@@ -71,18 +124,19 @@ class AsyncCrypTextService:
     service:
         The sync handler layer.
     reader_threads:
-        Thread-pool width for handler dispatch; defaults to
-        ``config.reader_processes``.
+        Thread-pool width for the pooled routes (everything but small
+        reads); defaults to ``config.reader_processes``.
     max_body_bytes:
         Per-request body cap; defaults to :data:`MAX_BODY_BYTES`.
         Constructor-injectable so the protocol-edge tests can exercise the
         boundary without multi-megabyte requests.
     request_deadline:
         Per-request time budget in seconds; defaults to
-        ``config.request_deadline_seconds``.  When set, every dispatched
-        handler runs under an ambient :class:`Deadline` (propagated via a
-        context variable into the worker thread) and the event loop stops
-        waiting — answering 504 — the moment the budget is spent.
+        ``config.request_deadline_seconds``.  When set, every handler —
+        small reads included — runs on the thread pool under an ambient
+        :class:`Deadline` (propagated via a context variable into the worker
+        thread) and the event loop stops waiting — answering 504 — the
+        moment the budget is spent.
     """
 
     def __init__(
@@ -124,7 +178,27 @@ class AsyncCrypTextService:
     # ------------------------------------------------------------------ #
     # dispatch
     # ------------------------------------------------------------------ #
-    async def _call(self, handler, /, *args, **kwargs) -> ServiceResponse:
+    def _inline(self, items: object) -> bool:
+        """Whether a read over ``items`` (its ``queries``/``texts``) runs on
+        the event loop: a list of at most :data:`INLINE_MAX_ITEMS` items
+        whose strings total at most :data:`INLINE_MAX_CHARS` characters,
+        and no deadline configured — the loop can answer 504 at the
+        deadline only while the handler runs somewhere else."""
+        if self.request_deadline is not None or not isinstance(items, list):
+            return False
+        if len(items) > INLINE_MAX_ITEMS:
+            return False
+        total = sum(len(item) for item in items if isinstance(item, str))
+        return total <= INLINE_MAX_CHARS
+
+    async def _call(
+        self, handler, /, *args, inline: bool = False, **kwargs
+    ) -> ServiceResponse:
+        """Run one sync handler: on the event loop when ``inline``, else on
+        the thread pool (under the deadline, when one is configured)."""
+        if inline:
+            # The request task's own context already carries the trace.
+            return handler(*args, **kwargs)
         loop = asyncio.get_running_loop()
         seconds = self.request_deadline
         deadline = Deadline.after(seconds) if seconds is not None else None
@@ -133,8 +207,13 @@ class AsyncCrypTextService:
             return await loop.run_in_executor(
                 self._executor, functools.partial(handler, *args, **kwargs)
             )
+        submitted = time.perf_counter()
 
         def invoke() -> ServiceResponse:
+            if OBS.armed and trace is not None:
+                OBS.histogram(QUEUE_WAIT_SECONDS, (("route", trace.route),)).observe(
+                    time.perf_counter() - submitted
+                )
             # Runs on the worker thread: context variables do not cross the
             # executor boundary by themselves, so the ambient deadline (read
             # by the handler layer's check_deadline()) and the request trace
@@ -169,7 +248,8 @@ class AsyncCrypTextService:
         token: str | None,
         payload: dict | None = None,
     ) -> ServiceResponse:
-        """Route one request to its sync handler on the thread pool."""
+        """Route one request to its sync handler: small reads run on the
+        event loop, everything else on the thread pool."""
         if FAULTS.armed:
             # Async-aware fault point: delays yield the event loop instead
             # of blocking it, failures answer 500 like any dispatch crash.
@@ -211,38 +291,48 @@ class AsyncCrypTextService:
         route = (method.upper(), path)
         try:
             if route == ("POST", "/v1/lookup"):
+                queries = body.get("queries", [])
                 return await self._call(
                     service.lookup,
                     token,
-                    body.get("queries", []),
+                    queries,
                     phonetic_level=body.get("phonetic_level"),
                     max_edit_distance=body.get("max_edit_distance"),
                     case_sensitive=body.get("case_sensitive", True),
                     use_transpositions=body.get("use_transpositions"),
+                    inline=self._inline(queries),
                 )
             if route == ("POST", "/v1/normalize"):
-                return await self._call(service.normalize, token, body.get("texts", []))
+                texts = body.get("texts", [])
+                return await self._call(
+                    service.normalize, token, texts, inline=self._inline(texts)
+                )
             if route == ("POST", "/v1/batch/lookup"):
+                queries = body.get("queries", [])
                 return await self._call(
                     service.batch_lookup,
                     token,
-                    body.get("queries", []),
+                    queries,
                     phonetic_level=body.get("phonetic_level"),
                     max_edit_distance=body.get("max_edit_distance"),
                     case_sensitive=body.get("case_sensitive", True),
                     use_transpositions=body.get("use_transpositions"),
+                    inline=self._inline(queries),
                 )
             if route == ("POST", "/v1/batch/normalize"):
+                texts = body.get("texts", [])
                 return await self._call(
-                    service.batch_normalize, token, body.get("texts", [])
+                    service.batch_normalize, token, texts, inline=self._inline(texts)
                 )
             if route == ("POST", "/v1/perturb"):
+                texts = body.get("texts", [])
                 return await self._call(
                     service.perturb,
                     token,
-                    body.get("texts", []),
+                    texts,
                     ratio=body.get("ratio"),
                     case_sensitive=body.get("case_sensitive"),
+                    inline=self._inline(texts),
                 )
             if route == ("POST", "/v1/listen"):
                 return await self._call(
@@ -343,7 +433,12 @@ class AsyncCrypTextService:
                 except ConnectionError:
                     break  # client went away mid-response; just this connection dies
                 if not keep_alive:
+                    await _linger(reader, writer)
                     break
+                # A pipelining peer's next request may already be buffered,
+                # and reading it would not yield: let the other connections
+                # in before serving it (small reads run on this loop).
+                await asyncio.sleep(0)
         except asyncio.CancelledError:
             # Shutdown cancels connections parked in a keep-alive read; a
             # cancelled connection just closes.  Returning normally keeps
@@ -363,8 +458,9 @@ class AsyncCrypTextService:
         ``None`` means the client closed cleanly between requests.  A
         response paired with ``keep_alive=False`` either asked for close or
         hit a framing error we cannot safely read past (bad request line,
-        unparseable/oversized Content-Length — the body was never
-        consumed, so the stream position is unknowable).
+        header block over :data:`MAX_HEADER_BYTES`, unparseable/oversized
+        Content-Length — the rest of the request was never consumed, so the
+        stream position is unknowable).
         """
         first = await reader.readline()
         if first == b"":
@@ -374,17 +470,21 @@ class AsyncCrypTextService:
             return None
         parts = request_line.split()
         if len(parts) != 3:
-            return (
-                ServiceResponse(status=400, body={"error": "malformed request line"}),
-                False,
-            )
+            return _refuse("malformed request line")
         method, target, version = parts
         path = target.split("?", 1)[0]
         headers: dict[str, str] = {}
+        header_bytes = 0
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:  # one line overran the stream's buffer limit
+                return _refuse("request headers too large")
             if line in (b"\r\n", b"\n", b""):
                 break
+            header_bytes += len(line)
+            if header_bytes > MAX_HEADER_BYTES:
+                return _refuse("request headers too large")
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         requested = headers.get("connection", "").lower()
@@ -396,18 +496,13 @@ class AsyncCrypTextService:
         authorization = headers.get("authorization", "")
         if authorization.lower().startswith("bearer "):
             token = authorization[len("bearer ") :].strip()
-        try:
-            length = int(headers.get("content-length", "0") or 0)
-        except ValueError:
-            return (
-                ServiceResponse(status=400, body={"error": "bad Content-Length"}),
-                False,
-            )
+        declared = headers.get("content-length", "0")
+        # Digits only: int() would also take "-5", " +7 " and "1_0".
+        if not (declared.isascii() and declared.isdigit()):
+            return _refuse("bad Content-Length")
+        length = int(declared)
         if length > self.max_body_bytes:
-            return (
-                ServiceResponse(status=400, body={"error": "request body too large"}),
-                False,
-            )
+            return _refuse("request body too large")
         payload: dict | None = None
         if length:
             raw = await reader.readexactly(length)
@@ -418,12 +513,7 @@ class AsyncCrypTextService:
                 # client that sends garbage gets its connection closed —
                 # plain HTTP clients expect error responses to end the
                 # exchange, and it keeps misbehaving peers from parking.
-                return (
-                    ServiceResponse(
-                        status=400, body={"error": "request body is not valid JSON"}
-                    ),
-                    False,
-                )
+                return _refuse("request body is not valid JSON")
         return await self.dispatch(method, path, token, payload), keep_alive
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:

@@ -144,8 +144,10 @@ class CrypTextConfig:
         read routing (the :class:`~repro.replication.ReplicaSet` falls back
         to fresher followers or the leader itself).
     reader_processes:
-        Parallelism of the read path: the number of follower replicas /
-        executor workers the replicated service front fans reads across.
+        Width of the async service front's thread pool.  The pool serves
+        only the pooled routes (admin, ``listen``, ``stats``, ``metrics``,
+        ``replication``, reads over the inline bound, and every request
+        when a deadline is set); small reads run on the event loop.
     degraded_read_policy:
         What replicated reads do when *no* follower is eligible (all stale,
         erroring, or circuit-open).  ``"leader"`` (the default) falls back

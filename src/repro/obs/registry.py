@@ -54,6 +54,7 @@ STAGE_SECONDS = "cryptext_stage_seconds"
 REQUEST_SECONDS = "cryptext_request_seconds"
 REQUESTS_TOTAL = "cryptext_requests_total"
 SLOW_QUERIES_TOTAL = "cryptext_slow_queries_total"
+QUEUE_WAIT_SECONDS = "cryptext_queue_wait_seconds"
 OBS_ARMED = "cryptext_obs_armed"
 
 HELP: dict[str, str] = {
@@ -61,6 +62,7 @@ HELP: dict[str, str] = {
     REQUEST_SECONDS: "End-to-end request latency, by route.",
     REQUESTS_TOTAL: "Requests finished, by route and HTTP status.",
     SLOW_QUERIES_TOTAL: "Requests slower than the slow-query threshold, by route.",
+    QUEUE_WAIT_SECONDS: "Wait from thread-pool submit to handler start, by route.",
     OBS_ARMED: "1 while the metrics registry is armed, else 0.",
 }
 

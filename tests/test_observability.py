@@ -8,8 +8,10 @@ Covers the four contracts the subsystem makes:
 * the exposition surfaces — ``/v1/metrics`` on both fronts is frozen to a
   known family set and the Prometheus text grammar, and ``/v1/stats``
   keeps its key schema;
-* trace contexts cross the asyncio front's worker-thread boundary, so a
-  slow request's log entry carries per-stage timings.
+* trace contexts cross the asyncio front's worker-thread boundary (and
+  cover the small reads it serves on the event loop itself), so a slow
+  request's log entry carries per-stage timings; pooled calls record their
+  queue wait.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ from hypothesis import strategies as st
 from repro import CrypText
 from repro.analysis import sanitizer as sanitizer_mod
 from repro.api import AsyncCrypTextService, CrypTextService, RateLimiter
+from repro.api.async_service import INLINE_MAX_ITEMS
 from repro.obs import CONTENT_TYPE, DEFAULT_BUCKETS, Histogram, render_text
 from repro.obs.adapters import replication_samples, sanitizer_samples, system_samples
 from repro.replication import Follower, ReplicaSet
-from repro.obs.registry import OBS
+from repro.obs.registry import OBS, QUEUE_WAIT_SECONDS
 from repro.wal import ChangeLog, wal_directory_for
 
 CORPUS = [
@@ -326,6 +329,15 @@ class TestExpositionFormat:
 # ---------------------------------------------------------------------- #
 # async front: exposition + trace propagation across worker threads
 # ---------------------------------------------------------------------- #
+def _queue_wait_count() -> float:
+    """Observations in every ``cryptext_queue_wait_seconds`` series."""
+    return sum(
+        value["count"]
+        for name, _k, _h, _labels, value in OBS.collect()
+        if name == QUEUE_WAIT_SECONDS
+    )
+
+
 class TestAsyncFront:
     def test_metrics_route_serves_exposition_text(self, service, token):
         front = AsyncCrypTextService(service, reader_threads=1)
@@ -343,12 +355,14 @@ class TestAsyncFront:
         assert "version=0.0.4" in CONTENT_TYPE
         assert "cryptext_requests_total" in response.text
 
-    def test_trace_crosses_the_worker_thread_pool(self, service, token):
-        front = AsyncCrypTextService(service, reader_threads=2)
+    @staticmethod
+    def _traced_lookup(front, token, queries) -> tuple[dict, float]:
+        """One armed Look Up through ``front``: its slow-query log entry and
+        the number of queue-wait observations it left."""
         with OBS.scoped(slow_query_ms=0.0):
             async def scenario():
                 response = await front.dispatch(
-                    "POST", "/v1/lookup", token, {"queries": ["republicans"]}
+                    "POST", "/v1/lookup", token, {"queries": queries}
                 )
                 assert response.status == 200
 
@@ -356,12 +370,48 @@ class TestAsyncFront:
             entries = [
                 entry for entry in OBS.slow_queries() if entry["route"] == "/v1/lookup"
             ]
+            waits = _queue_wait_count()
         assert len(entries) == 1  # opened on the loop, finished once
-        stages = [stage["stage"] for stage in entries[0]["stages"]]
+        return entries[0], waits
+
+    def test_trace_crosses_the_worker_thread_pool(self, service, token):
+        front = AsyncCrypTextService(service, reader_threads=2)
+        # One item over the inline bound: the handler runs on the pool.
+        entry, waits = self._traced_lookup(
+            front, token, ["republicans"] * (INLINE_MAX_ITEMS + 1)
+        )
+        assert waits == 1  # it did cross the executor boundary
+        stages = [stage["stage"] for stage in entry["stages"]]
         # The lookup span ran inside a worker thread; its timing landed on
         # the trace the event loop opened — the contextvar crossed over.
         assert "lookup" in stages
-        assert entries[0]["status"] == 200
+        assert entry["status"] == 200
+
+    def test_trace_covers_an_inline_request(self, service, token):
+        front = AsyncCrypTextService(service, reader_threads=2)
+        entry, waits = self._traced_lookup(front, token, ["republicans"])
+        assert waits == 0  # served on the loop, in the request task's context
+        stages = [stage["stage"] for stage in entry["stages"]]
+        assert "lookup" in stages
+        assert entry["status"] == 200
+
+    def test_queue_wait_is_recorded_for_pooled_calls_only(self, service, token):
+        front = AsyncCrypTextService(service, reader_threads=1)
+        with OBS.scoped():
+            async def scenario():
+                pooled = await front.dispatch("GET", "/v1/stats", token, None)
+                inline = await front.dispatch(
+                    "POST", "/v1/lookup", token, {"queries": ["republicans"]}
+                )
+                assert pooled.status == inline.status == 200
+
+            asyncio.run(scenario())
+            routes = {
+                labels["route"]: value["count"]
+                for name, _k, _h, labels, value in OBS.collect()
+                if name == QUEUE_WAIT_SECONDS
+            }
+        assert routes == {"/v1/stats": 1}
 
     def test_dispatch_counts_each_request_once(self, service, token):
         front = AsyncCrypTextService(service, reader_threads=1)

@@ -16,7 +16,9 @@ Three layers under test, bottom-up:
   under each ``degraded_read_policy`` (leader fallback, serve-stale with
   the warning header, fail-fast 503), deadline-expired requests answering
   504, the async front's protocol edges (truncated request lines,
-  mid-request disconnects, body-cap boundaries, keep-alive reuse), and a
+  mid-request disconnects, body-cap boundaries, Content-Length syntax,
+  header-block caps, keep-alive reuse), its split between small reads
+  served on the event loop and everything else on the thread pool, and a
   real :class:`ReplicaSupervisor` restarting a SIGKILLed follower
   *process* until its fingerprint matches the leader again.
 """
@@ -27,6 +29,7 @@ import asyncio
 import json
 import random
 import signal
+import threading
 import time
 from pathlib import Path
 
@@ -34,6 +37,7 @@ import pytest
 
 from repro import CrypText, CrypTextConfig
 from repro.api import AsyncCrypTextService, CrypTextService, RateLimiter
+from repro.api.async_service import INLINE_MAX_CHARS, INLINE_MAX_ITEMS
 from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
@@ -760,6 +764,24 @@ def _plain_service(tmp_path) -> tuple[CrypTextService, str]:
     return service, service.issue_token("chaos").token
 
 
+def _encode_request(
+    method: str,
+    path: str,
+    token: str | None = None,
+    payload: dict | None = None,
+    close: bool = False,
+) -> bytes:
+    body = b"" if payload is None else json.dumps(payload).encode("utf-8")
+    lines = [f"{method} {path} HTTP/1.1", "Host: t"]
+    if close:
+        lines.append("Connection: close")
+    if token is not None:
+        lines.append(f"Authorization: Bearer {token}")
+    if body:
+        lines.append(f"Content-Length: {len(body)}")
+    return "\r\n".join(lines).encode("ascii") + b"\r\n\r\n" + body
+
+
 async def _request(
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
@@ -770,16 +792,14 @@ async def _request(
     close: bool = False,
 ) -> tuple[int, dict, dict[str, str]]:
     """One exchange on an existing (possibly reused) connection."""
-    body = b"" if payload is None else json.dumps(payload).encode("utf-8")
-    lines = [f"{method} {path} HTTP/1.1", "Host: t"]
-    if close:
-        lines.append("Connection: close")
-    if token is not None:
-        lines.append(f"Authorization: Bearer {token}")
-    if body:
-        lines.append(f"Content-Length: {len(body)}")
-    writer.write("\r\n".join(lines).encode("ascii") + b"\r\n\r\n" + body)
+    writer.write(_encode_request(method, path, token, payload, close))
     await writer.drain()
+    return await _read_response(reader)
+
+
+async def _read_response(
+    reader: asyncio.StreamReader,
+) -> tuple[int, dict, dict[str, str]]:
     status_line = await reader.readline()
     status = int(status_line.split(b" ", 2)[1])
     headers: dict[str, str] = {}
@@ -954,6 +974,78 @@ class TestAsyncFrontProtocolEdges:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize(
+        "declared, body",
+        [
+            (b"-5", b""),
+            (b"+7", b'{"q":1}'),  # int() reads 7: the body is there to read
+            (b"1_0", b'{"q": 100}'),  # int() reads 10
+            (b"\xb2", b""),  # latin-1 superscript two: isdigit(), not ASCII
+        ],
+        ids=["negative", "plus-sign", "underscore", "non-ascii-digit"],
+    )
+    def test_content_length_must_be_ascii_digits(self, tmp_path, declared, body):
+        service, token = _plain_service(tmp_path)
+        front = AsyncCrypTextService(service, reader_threads=1)
+
+        async def scenario():
+            host, port = await front.start()
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(
+                    b"POST /v1/lookup HTTP/1.1\r\nConnection: close\r\n"
+                    b"Authorization: Bearer "
+                    + token.encode("ascii")
+                    + b"\r\nContent-Length: "
+                    + declared
+                    + b"\r\n\r\n"
+                    + body
+                )
+                await writer.drain()
+                raw = await asyncio.wait_for(reader.read(-1), 10)  # EOF: closed
+                writer.close()
+                assert b" 400 " in raw.split(b"\r\n", 1)[0], raw
+                assert b"bad Content-Length" in raw
+            finally:
+                await front.stop()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize(
+        "header_lines",
+        [
+            [b"X-Pad-%d: v" % index for index in range(20_000)],
+            [b"X-Long: " + b"v" * (100 << 10)],  # one line over the stream limit
+        ],
+        ids=["20000-short-lines", "one-100KiB-line"],
+    )
+    def test_oversized_header_block_is_a_400_and_closes(self, tmp_path, header_lines):
+        service, token = _plain_service(tmp_path)
+        front = AsyncCrypTextService(service, reader_threads=1)
+
+        async def scenario():
+            host, port = await front.start()
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                lines = [b"GET /v1/stats HTTP/1.1", b"Connection: close"]
+                writer.write(b"\r\n".join(lines + header_lines) + b"\r\n\r\n")
+                raw = await asyncio.wait_for(reader.read(-1), 10)  # EOF: closed
+                writer.close()
+                assert b" 400 " in raw.split(b"\r\n", 1)[0], raw[:200]
+                assert b"request headers too large" in raw
+                # The front itself is unharmed.
+                reader, writer = await asyncio.open_connection(host, port)
+                status, _body, _headers = await _request(
+                    reader, writer, "POST", "/v1/lookup", token,
+                    {"queries": ["vaccine"]}, close=True,
+                )
+                writer.close()
+                assert status == 200
+            finally:
+                await front.stop()
+
+        asyncio.run(scenario())
+
     def test_keep_alive_serves_sequential_requests_on_one_connection(self, tmp_path):
         service, token = _plain_service(tmp_path)
         front = AsyncCrypTextService(service, reader_threads=1)
@@ -1003,6 +1095,207 @@ class TestAsyncFrontProtocolEdges:
                 )
                 assert all(statuses == [200, 200, 200] for statuses in results)
             finally:
+                await front.stop()
+
+        asyncio.run(scenario())
+
+
+def _handler_threads(
+    tmp_path, method: str, path: str, payload: dict | None, handler: str, **front
+) -> tuple[list[str], str]:
+    """Dispatch one request; return the threads ``service.<handler>`` ran
+    on and the event loop's own thread."""
+    service, token = _plain_service(tmp_path)
+    threads: list[str] = []
+    real = getattr(service, handler)
+
+    def recording(*args, **kwargs):
+        threads.append(threading.current_thread().name)
+        return real(*args, **kwargs)
+
+    setattr(service, handler, recording)
+    front_service = AsyncCrypTextService(service, reader_threads=1, **front)
+
+    async def scenario():
+        response = await front_service.dispatch(method, path, token, payload)
+        assert response.status == 200, response.body
+        return threading.current_thread().name
+
+    return threads, asyncio.run(scenario())
+
+
+_PER_ITEM = INLINE_MAX_CHARS // INLINE_MAX_ITEMS  # the bound splits evenly
+_AT_THE_BOUND = ["v" * _PER_ITEM] * INLINE_MAX_ITEMS
+
+
+class TestAsyncFrontInlineSplit:
+    """Small reads run on the event loop; everything else on the pool."""
+
+    @pytest.mark.parametrize(
+        "method, path, payload, handler",
+        [
+            ("POST", "/v1/lookup", {"queries": ["vaccine"]}, "lookup"),
+            ("POST", "/v1/lookup", {"queries": _AT_THE_BOUND}, "lookup"),
+            ("POST", "/v1/normalize", {"texts": ["teh vacc1ne"]}, "normalize"),
+            ("POST", "/v1/batch/lookup", {"queries": ["vaccine"]}, "batch_lookup"),
+            ("POST", "/v1/batch/normalize", {"texts": ["teh"]}, "batch_normalize"),
+            ("POST", "/v1/perturb", {"texts": ["the vaccine"]}, "perturb"),
+        ],
+        ids=["lookup", "lookup-at-the-bound", "normalize", "batch-lookup",
+             "batch-normalize", "perturb"],
+    )
+    def test_small_reads_run_on_the_loop_thread(
+        self, tmp_path, method, path, payload, handler
+    ):
+        threads, loop_thread = _handler_threads(tmp_path, method, path, payload, handler)
+        assert threads == [loop_thread]
+
+    @pytest.mark.parametrize(
+        "method, path, payload, handler, front",
+        [
+            (
+                "POST", "/v1/lookup", {"queries": ["v"] * (INLINE_MAX_ITEMS + 1)},
+                "lookup", {},
+            ),
+            (
+                "POST", "/v1/lookup",
+                {"queries": _AT_THE_BOUND[:-1] + ["v" * (_PER_ITEM + 1)]},
+                "lookup", {},
+            ),
+            # Not a list: the handler decides what it means.
+            ("POST", "/v1/lookup", {"queries": "vaccine"}, "lookup", {}),
+            ("GET", "/v1/stats", None, "stats", {}),
+            (
+                "POST", "/v1/lookup", {"queries": ["vaccine"]}, "lookup",
+                {"request_deadline": 30.0},
+            ),
+        ],
+        ids=["one-item-over", "one-char-over", "not-a-list", "stats", "deadline"],
+    )
+    def test_other_requests_run_on_the_pool(
+        self, tmp_path, method, path, payload, handler, front
+    ):
+        threads, _loop_thread = _handler_threads(
+            tmp_path, method, path, payload, handler, **front
+        )
+        assert len(threads) == 1 and threads[0].startswith("cryptext-read")
+
+    def test_every_handler_goes_through_call(self, tmp_path, monkeypatch):
+        # The end-to-end benchmark's tracer wraps _call by name and times
+        # the handler it is given, passing the keywords through untouched:
+        # a handler run around _call, or an inline decision passed
+        # positionally, would drop out of its per-layer split.
+        service, token = _plain_service(tmp_path)
+        decisions: list[bool] = []
+        real_call = AsyncCrypTextService._call
+
+        async def recording_call(front, handler, /, *args, **kwargs):
+            decisions.append(kwargs.get("inline", False))
+            return await real_call(front, handler, *args, **kwargs)
+
+        monkeypatch.setattr(AsyncCrypTextService, "_call", recording_call)
+        front = AsyncCrypTextService(service, reader_threads=1)
+
+        async def scenario():
+            small = await front.dispatch(
+                "POST", "/v1/lookup", token, {"queries": ["vaccine"]}
+            )
+            stats = await front.dispatch("GET", "/v1/stats", token, None)
+            assert small.status == stats.status == 200
+
+        asyncio.run(scenario())
+        assert decisions == [True, False]
+
+    def test_a_pipelining_peer_does_not_hold_the_loop(self, tmp_path):
+        service, token = _plain_service(tmp_path)
+        served: list[str] = []
+        real_lookup = service.lookup
+
+        def recording_lookup(token, queries, **kwargs):
+            served.append(queries[0])
+            return real_lookup(token, queries, **kwargs)
+
+        service.lookup = recording_lookup  # type: ignore[method-assign]
+        front = AsyncCrypTextService(service, reader_threads=1)
+        pipelined = [f"a{index}" for index in range(8)]
+
+        async def scenario():
+            host, port = await front.start()
+            try:
+                peers = [await asyncio.open_connection(host, port) for _ in range(2)]
+                # One exchange each: both connections now wait in a read.
+                for reader, writer in peers:
+                    status, _body, _headers = await _request(
+                        reader, writer, "GET", "/v1/stats", token
+                    )
+                    assert status == 200
+                (a_reader, a_writer), (b_reader, b_writer) = peers
+                a_writer.write(
+                    b"".join(
+                        _encode_request(
+                            "POST", "/v1/lookup", token, {"queries": [query]}
+                        )
+                        for query in pipelined
+                    )
+                )
+                b_writer.write(
+                    _encode_request("POST", "/v1/lookup", token, {"queries": ["b"]})
+                )
+                for _ in pipelined:
+                    status, _body, _headers = await _read_response(a_reader)
+                    assert status == 200
+                status, _body, _headers = await _read_response(b_reader)
+                assert status == 200
+                for _reader, writer in peers:
+                    writer.close()
+            finally:
+                await front.stop()
+
+        asyncio.run(scenario())
+        assert sorted(served) == sorted(pipelined + ["b"])
+        # Served between two of the pipelined requests, not after all of them.
+        assert served.index("b") < len(pipelined)
+
+    def test_small_reads_are_served_while_a_pooled_handler_blocks(self, tmp_path):
+        service, token = _plain_service(tmp_path)
+        real_stats = service.stats
+        entered, release = threading.Event(), threading.Event()
+
+        def blocking_stats(*args, **kwargs):
+            entered.set()
+            if not release.wait(timeout=30):
+                raise AssertionError("the blocked handler was never released")
+            return real_stats(*args, **kwargs)
+
+        service.stats = blocking_stats  # type: ignore[method-assign]
+        # One pool thread, held by the stats call: only the loop can answer.
+        front = AsyncCrypTextService(service, reader_threads=1)
+
+        async def scenario():
+            host, port = await front.start()
+            try:
+                stats_reader, stats_writer = await asyncio.open_connection(host, port)
+                stats = asyncio.create_task(
+                    _request(stats_reader, stats_writer, "GET", "/v1/stats", token)
+                )
+                assert await asyncio.to_thread(entered.wait, 30)
+                reader, writer = await asyncio.open_connection(host, port)
+                status, body, _headers = await asyncio.wait_for(
+                    _request(
+                        reader, writer, "POST", "/v1/lookup", token,
+                        {"queries": ["vaccine"]}, close=True,
+                    ),
+                    30,
+                )
+                writer.close()
+                assert status == 200 and body["results"]["vaccine"]["matches"]
+                assert not stats.done()  # still parked in the pool
+                release.set()
+                status, _body, _headers = await asyncio.wait_for(stats, 30)
+                stats_writer.close()
+                assert status == 200
+            finally:
+                release.set()
                 await front.stop()
 
         asyncio.run(scenario())
