@@ -11,8 +11,7 @@ layer in process:
 * :class:`repro.api.RateLimiter` — sliding-window request limits per token;
 * :class:`repro.api.CrypTextService` — the endpoints (``lookup``,
   ``normalize``, ``perturb``, ``listen``, ``stats``), accepting and returning
-  plain dictionaries exactly as a JSON HTTP layer would, with responses
-  cached in the Redis-style cache.
+  plain dictionaries exactly as a JSON HTTP layer would.
 """
 
 from .async_service import AsyncCrypTextService

@@ -1,9 +1,8 @@
 """Asyncio service front: one event loop multiplexing many connections.
 
 The sync :class:`~repro.api.service.CrypTextService` is the handler layer —
-authentication, scopes, rate limits, validation, response caching — and
-stays exactly as it is.  :class:`AsyncCrypTextService` puts an event loop in
-front of it:
+authentication, scopes, rate limits, validation — and stays exactly as it
+is.  :class:`AsyncCrypTextService` puts an event loop in front of it:
 
 * a **small read** (Look Up, Normalization and their batch variants, and
   perturbation, over at most :data:`INLINE_MAX_ITEMS` items totalling at
@@ -500,7 +499,12 @@ class AsyncCrypTextService:
         # Digits only: int() would also take "-5", " +7 " and "1_0".
         if not (declared.isascii() and declared.isdigit()):
             return _refuse("bad Content-Length")
-        length = int(declared)
+        # Count digits before int(), which refuses over 4,300 of them
+        # (leading zeros included).
+        digits = declared.lstrip("0")
+        if len(digits) > len(str(self.max_body_bytes)):
+            return _refuse("request body too large")
+        length = int(digits or "0")
         if length > self.max_body_bytes:
             return _refuse("request body too large")
         payload: dict | None = None

@@ -2,8 +2,10 @@
 
 :class:`CrypTextService` is the library equivalent of the Django/FastAPI
 back end in Figure 5: every endpoint takes and returns plain dictionaries
-(what a JSON HTTP layer would serialize), enforces token authentication and
-per-client rate limits, and caches responses in the Redis-style cache.
+(what a JSON HTTP layer would serialize) and enforces token authentication
+and per-client rate limits.  The Redis-style cache sits below it: Look Up
+answers come from the lookup engine's query cache of the system serving the
+read, so this layer keeps no cache of its own.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from ..errors import (
 from ..resilience.policies import check_deadline
 from ..social.listening import SocialListener
 from ..social.platform import SocialPlatform
-from ..storage import TTLCache, make_key
 from .auth import ApiToken, TokenAuthenticator
 from .ratelimit import RateLimiter
 
@@ -154,8 +155,6 @@ class CrypTextService:
         Per-client limiter (default 120 requests / 60 s).
     platform:
         Optional platform bound to the ``listen`` endpoint.
-    cache:
-        Response cache; defaults to the CrypText instance's cache.
     max_batch_size:
         Upper bound on the classic bulk request sizes.
     max_bulk_batch_size:
@@ -175,7 +174,6 @@ class CrypTextService:
         authenticator: TokenAuthenticator | None = None,
         rate_limiter: RateLimiter | None = None,
         platform: SocialPlatform | None = None,
-        cache: TTLCache | None = None,
         max_batch_size: int = 256,
         max_bulk_batch_size: int = 4096,
         scheduler=None,
@@ -194,7 +192,6 @@ class CrypTextService:
             max_requests=120, window_seconds=60.0
         )
         self.platform = platform
-        self.cache = cache if cache is not None else cryptext.cache
         self.max_batch_size = max_batch_size
         self.max_bulk_batch_size = max_bulk_batch_size
         #: Optional maintenance scheduler behind ``/v1/admin/maintenance``
@@ -248,6 +245,9 @@ class CrypTextService:
 
     @staticmethod
     def _validate_batch(items: Sequence[str], maximum: int, what: str) -> None:
+        # A JSON string would otherwise pass as a batch of its characters.
+        if not isinstance(items, (list, tuple)):
+            raise ServiceError(f"{what} must be a list of strings")
         if not items:
             raise ServiceError(f"{what} must not be empty")
         if len(items) > maximum:
@@ -258,16 +258,16 @@ class CrypTextService:
         if any(not isinstance(item, str) for item in items):
             raise ServiceError(f"every element of {what} must be a string")
 
-    def _cached(self, key: tuple, compute):
-        if self.cache is None:
-            return compute()
-        return self.cache.get_or_compute(key, compute)
-
-    def _read_system(self) -> CrypText:
-        """The system serving this read: a routed replica, or the leader."""
-        if self.replica_set is not None:
-            return self.replica_set.route()
-        return self.cryptext
+    @staticmethod
+    def _validate_edit_distance(max_edit_distance: int | None) -> None:
+        """The per-request ``d`` override obeys ``CrypTextConfig.edit_distance``'s rule."""
+        if max_edit_distance is not None and (
+            not isinstance(max_edit_distance, int) or max_edit_distance < 0
+        ):
+            raise ServiceError(
+                "max_edit_distance must be a non-negative integer, "
+                f"got {max_edit_distance!r}"
+            )
 
     def _replicated(self, compute: Callable[[CrypText], T]) -> tuple[T, dict[str, str]]:
         """Run one read through the replica set (breaker accounting, leader
@@ -310,36 +310,31 @@ class CrypTextService:
         ``use_transpositions`` is the request-level distance-policy
         override: ``true`` scores adjacent swaps as one edit for this
         request only, ``false`` forces plain Levenshtein, omitted/``null``
-        keeps the server's configured policy.  It participates in the
-        response cache key, so differently-policied requests never share a
-        cached response.
+        keeps the server's configured policy.  Each answer comes from the
+        query cache of the system serving the read, whose key carries the
+        resolved policy, so differently-policied queries never share an
+        answer.
         """
         guard = self._guard(token, "lookup")
         if isinstance(guard, ServiceResponse):
             return guard
         try:
             self._validate_batch(queries, self.max_batch_size, "queries")
+            self._validate_edit_distance(max_edit_distance)
         except ServiceError as exc:
             return ServiceResponse(status=400, body={"error": str(exc)})
-        key = make_key(
-            "service.lookup", list(queries), phonetic_level, max_edit_distance,
-            case_sensitive, use_transpositions,
-        )
         try:
             results, headers = self._replicated(
-                lambda system: self._cached(
-                    key,
-                    lambda: {
-                        query: system.look_up(
-                            query,
-                            phonetic_level=phonetic_level,
-                            max_edit_distance=max_edit_distance,
-                            case_sensitive=case_sensitive,
-                            use_transpositions=use_transpositions,
-                        ).to_dict()
-                        for query in queries
-                    },
-                )
+                lambda system: {
+                    query: system.look_up(
+                        query,
+                        phonetic_level=phonetic_level,
+                        max_edit_distance=max_edit_distance,
+                        case_sensitive=case_sensitive,
+                        use_transpositions=use_transpositions,
+                    ).to_dict()
+                    for query in queries
+                }
             )
         except (ReplicasUnavailableError, DeadlineExceededError) as exc:
             return self._degraded_error(exc)
@@ -355,13 +350,9 @@ class CrypTextService:
             self._validate_batch(texts, self.max_batch_size, "texts")
         except ServiceError as exc:
             return ServiceResponse(status=400, body={"error": str(exc)})
-        key = make_key("service.normalize", list(texts))
         try:
             results, headers = self._replicated(
-                lambda system: self._cached(
-                    key,
-                    lambda: [system.normalize(text).to_dict() for text in texts],
-                )
+                lambda system: [system.normalize(text).to_dict() for text in texts]
             )
         except (ReplicasUnavailableError, DeadlineExceededError) as exc:
             return self._degraded_error(exc)
@@ -406,14 +397,15 @@ class CrypTextService:
         Unlike :meth:`lookup`, the response is an order-preserving list (one
         entry per query, duplicates included) and the work is served by the
         batch engine: queries and sound buckets are deduplicated, and the
-        shared query cache is populated per query — so no whole-response
-        cache entry goes stale on enrichment.
+        query cache that :meth:`lookup` reads is consulted and filled per
+        query.
         """
         guard = self._guard(token, "lookup")
         if isinstance(guard, ServiceResponse):
             return guard
         try:
             self._validate_batch(queries, self.max_bulk_batch_size, "queries")
+            self._validate_edit_distance(max_edit_distance)
         except ServiceError as exc:
             return ServiceResponse(status=400, body={"error": str(exc)})
         try:

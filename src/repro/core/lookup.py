@@ -371,13 +371,13 @@ class LookupEngine:
         )
 
     def cache_result(self, result: LookupResult, case_sensitive: bool,
-                     canonical_distance: bool, version: int | None = None,
+                     canonical_distance: bool, version: int,
                      use_transpositions: bool | None = None) -> None:
         """Store ``result`` in the query cache, tagged with its sound bucket.
 
-        With ``version`` (the dictionary's, captured before the result was
-        computed), the store is atomically guarded: it is skipped when any
-        write landed in the meantime, so a result built from a pre-write
+        ``version`` is the dictionary's, captured before the result was
+        computed.  The store is atomically guarded by it: it is skipped when
+        any write landed in the meantime, so a result built from a pre-write
         bucket can never outlive the write's invalidation.
         """
         if self.cache is None:
@@ -395,13 +395,10 @@ class LookupEngine:
             if result.soundex_key is not None
             else ()
         )
-        if version is None:
-            self.cache.set(key, result, tags=tags)
-        else:
-            dictionary = self.dictionary
-            self.cache.set_if(
-                key, result, lambda: dictionary.version == version, tags=tags
-            )
+        dictionary = self.dictionary
+        self.cache.set_if(
+            key, result, lambda: dictionary.version == version, tags=tags
+        )
 
     def note_changes(self, changed_keys: set[tuple[int, str]] | None) -> None:
         """Dictionary write notification (the ``ChangeObserver`` hook).
@@ -483,7 +480,7 @@ class LookupEngine:
         case_sensitive: bool = True,
         use_transpositions: bool | None = None,
     ) -> dict[str, LookupResult]:
-        """Bulk Look Up (the API layer's batch endpoint)."""
+        """Bulk Look Up as a ``{query: result}`` mapping, one :meth:`look_up` per query."""
         return {
             query: self.look_up(
                 query,

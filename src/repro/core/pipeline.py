@@ -23,7 +23,7 @@ from typing import Iterable, Sequence, TYPE_CHECKING
 from ..config import CrypTextConfig, DEFAULT_CONFIG
 from ..lm import CoherencyScorer
 from ..obs.registry import OBS
-from ..storage import DocumentStore, TTLCache
+from ..storage import DocumentStore
 from ..text.tokenizer import Tokenizer
 from ..text.wordlist import EnglishLexicon, default_lexicon
 from .dictionary import DictionaryStats, PerturbationDictionary
@@ -51,26 +51,14 @@ class CrypText:
         dictionary: PerturbationDictionary,
         config: CrypTextConfig = DEFAULT_CONFIG,
         scorer: CoherencyScorer | None = None,
-        cache: TTLCache | None = None,
         rng: random.Random | None = None,
     ) -> None:
         self.config = config
         self.dictionary = dictionary
         self.scorer = scorer
-        if cache is None and config.cache_enabled:
-            # Always own the query cache, so the service layer's
-            # whole-response entries and the lookup engine's tagged queries
-            # share one cache the facade can see.
-            cache = TTLCache(
-                max_entries=config.cache_max_entries,
-                default_ttl=config.cache_ttl_seconds,
-            )
-        self.cache = cache
-        if cache is not None:
-            # Whole-response entries are untagged (their dependencies are
-            # unknown), so every dictionary write drops them.
-            dictionary.register_observer(self)
-        self.lookup_engine = LookupEngine(dictionary, config=config, cache=cache)
+        self.lookup_engine = LookupEngine(dictionary, config=config)
+        #: The lookup engine's query cache (``None`` when caching is off).
+        self.cache = self.lookup_engine.cache
         self.normalizer = Normalizer(dictionary, scorer=scorer, config=config)
         self.perturber = Perturber(self.lookup_engine, config=config, rng=rng)
         self._batch_engine: "BatchEngine | None" = None
@@ -131,19 +119,10 @@ class CrypText:
             if tokenized:
                 scorer = CoherencyScorer(order=config.lm_order)
                 scorer.fit(tokenized)
-        cache = (
-            TTLCache(
-                max_entries=config.cache_max_entries,
-                default_ttl=config.cache_ttl_seconds,
-            )
-            if config.cache_enabled
-            else None
-        )
         return cls(
             dictionary=dictionary,
             config=config,
             scorer=scorer,
-            cache=cache,
             rng=random.Random(config.seed),
         )
 
@@ -311,24 +290,11 @@ class CrypText:
         """Enrich the dictionary with newly observed texts (crawler path).
 
         Invalidation is sound-scoped and runs through the dictionary's
-        observers: only cached queries whose sound buckets actually changed
-        are dropped (plus untagged entries such as whole-response service
-        caches, whose dependencies are unknown); unrelated cached queries
+        observers: only cached queries and memoized tokens whose sound
+        buckets actually changed are dropped; unrelated cached queries
         survive the enrichment.
         """
         return self.dictionary.learn_batch(texts, source=source)
-
-    def note_changes(self, changed_keys: set[tuple[int, str]] | None) -> None:
-        """Dictionary write notification (the ``ChangeObserver`` hook).
-
-        Drops the untagged whole-response entries of this system's cache;
-        the lookup engine drops its own tagged queries.  ``None`` (a
-        snapshot load or a replay reset) clears the whole cache.
-        """
-        if changed_keys is None:
-            self.cache.clear()
-        else:
-            self.cache.invalidate_untagged()
 
     def stats(self) -> DictionaryStats:
         """Dictionary statistics (token counts, unique phonetic sounds)."""
@@ -404,11 +370,11 @@ class CrypText:
     def load_snapshot(self, path=None, strict: bool = False):
         """Hydrate the dictionary and its compiled buckets from a snapshot.
 
-        On success every cache owner (query cache, response cache, batch
-        memo) is told to clear, so no stale pre-load result survives, and
-        the compiled-bucket cache that every read path shares is pre-seeded
-        from the snapshot.  On failure (corrupt file, version or fingerprint
-        mismatch) the system keeps its current state and the report's
-        ``reason`` says why — unless ``strict``, which raises.
+        On success every cache owner (query cache, batch memo) is told to
+        clear, so no stale pre-load result survives, and the compiled-bucket
+        cache that every read path shares is pre-seeded from the snapshot.
+        On failure (corrupt file, version or fingerprint mismatch) the
+        system keeps its current state and the report's ``reason`` says
+        why — unless ``strict``, which raises.
         """
         return self.dictionary.load_snapshot(path, strict=strict)

@@ -10,8 +10,8 @@ actually needs:
   (``{"field": {"$in": [...]}}``), secondary hash indexes, update/delete, and
   JSONL persistence;
 * :class:`repro.storage.TTLCache` — a Redis-style key/value cache with
-  per-entry TTL, LRU eviction, and hit/miss statistics, plus the
-  :func:`repro.storage.cached` decorator used by the API layer.
+  per-entry TTL, LRU eviction, tag invalidation, version-guarded stores and
+  hit/miss statistics, which the Look Up engine uses as its query cache.
 """
 
 from .query import compile_filter, matches_filter
@@ -38,7 +38,7 @@ from .snapshot import (
     write_envelope,
     write_snapshot,
 )
-from .cache import CacheStats, TTLCache, cached, make_key
+from .cache import CacheStats, TTLCache, make_key
 
 __all__ = [
     "compile_filter",
@@ -65,6 +65,5 @@ __all__ = [
     "write_snapshot",
     "CacheStats",
     "TTLCache",
-    "cached",
     "make_key",
 ]

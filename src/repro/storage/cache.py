@@ -16,11 +16,13 @@ repeated Look Up / Normalization requests are served from memory (paper
   phonetic sound key, letting a dictionary write drop exactly the stale
   buckets instead of flushing the whole cache), and an index of the
   untagged entries so dropping them all costs only their own number;
+* :meth:`TTLCache.set_if`, a store guarded by a caller's check under the
+  cache lock — the query cache and the batch memo store every entry
+  through it, guarded by the dictionary version;
 * thread safety — the batch engine serves Look Up / Normalization from
   worker threads while the crawler enriches the dictionary concurrently.
 
-The :func:`cached` decorator wraps a function with a cache keyed on its
-arguments — the API service layer uses it for bulk Look Up calls.
+:func:`make_key` builds those entries' hashable keys from call arguments.
 """
 
 from __future__ import annotations
@@ -28,12 +30,10 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, TypeVar
+from typing import Any, Callable, Hashable, Iterable
 
 from ..analysis.sanitizer import tracked_rlock
 from ..errors import CacheError
-
-T = TypeVar("T")
 
 _MISSING = object()
 
@@ -97,8 +97,7 @@ class TTLCache:
         :func:`time.monotonic`; tests inject a fake clock.
 
     All public operations are thread-safe: a single reentrant lock guards the
-    entry map and the tag index (``get_or_compute`` releases it while running
-    the compute callable so a slow miss never blocks other readers).
+    entry map and the tag index.
     """
 
     def __init__(
@@ -225,26 +224,6 @@ class TTLCache:
             self.stats.hits += 1
             return entry.value
 
-    def get_or_compute(
-        self,
-        key: Hashable,
-        compute: Callable[[], T],
-        ttl: float | None = None,
-        tags: Iterable[Hashable] = (),
-    ) -> T:
-        """Return the cached value, computing and storing it on a miss.
-
-        The compute callable runs outside the lock, so concurrent misses on
-        the same key may compute twice; the last writer wins, which is safe
-        for the pure queries this cache fronts.
-        """
-        value = self.get(key, default=_MISSING)
-        if value is not _MISSING:
-            return value
-        computed = compute()
-        self.set(key, computed, ttl=ttl, tags=tags)
-        return computed
-
     def invalidate(self, key: Hashable) -> bool:
         """Drop ``key`` if present; return whether something was removed."""
         with self._lock:
@@ -268,10 +247,10 @@ class TTLCache:
     def invalidate_untagged(self) -> int:
         """Drop every entry that carries no tags; returns removals.
 
-        Used on every dictionary write: tagged entries are invalidated
-        precisely by sound key, while untagged entries (e.g. whole-response
-        service caches whose dependencies are unknown) must be dropped
-        conservatively.  Costs O(untagged entries), not O(cache size).
+        For entries whose dependencies are unknown, which no tag can reach.
+        No cache owner in this package stores one; ``perfbench``'s tracer
+        still wraps this method by name.  Costs O(untagged entries), not
+        O(cache size).
         """
         with self._lock:
             doomed, self._untagged = self._untagged, set()
@@ -320,26 +299,3 @@ def make_key(*args: Any, **kwargs: Any) -> Hashable:
         tuple(freeze(arg) for arg in args),
         tuple(sorted((name, freeze(value)) for name, value in kwargs.items())),
     )
-
-
-def cached(
-    cache: TTLCache, ttl: float | None = None
-) -> Callable[[Callable[..., T]], Callable[..., T]]:
-    """Decorator caching a function's results in ``cache``.
-
-    The wrapped function gains a ``cache`` attribute pointing at the cache so
-    callers can inspect statistics or invalidate entries.
-    """
-
-    def decorator(function: Callable[..., T]) -> Callable[..., T]:
-        def wrapper(*args: Any, **kwargs: Any) -> T:
-            key = (function.__qualname__, make_key(*args, **kwargs))
-            return cache.get_or_compute(key, lambda: function(*args, **kwargs), ttl=ttl)
-
-        wrapper.cache = cache  # type: ignore[attr-defined]
-        wrapper.__name__ = function.__name__
-        wrapper.__doc__ = function.__doc__
-        wrapper.__qualname__ = function.__qualname__
-        return wrapper
-
-    return decorator

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
-from repro.api import CrypTextService, RateLimiter, TokenAuthenticator
+from repro.api import AsyncCrypTextService, CrypTextService, RateLimiter, TokenAuthenticator
 from repro.errors import ServiceError
-from repro.storage import TTLCache
 
 
 @pytest.fixture()
@@ -16,7 +17,6 @@ def service(cryptext_small, twitter_platform) -> CrypTextService:
         authenticator=TokenAuthenticator(secret="unit"),
         rate_limiter=RateLimiter(max_requests=1000, window_seconds=60),
         platform=twitter_platform,
-        cache=TTLCache(max_entries=64, default_ttl=60),
     )
 
 
@@ -78,13 +78,53 @@ class TestLookupEndpoint:
         assert service.lookup(token, ["ok", 42]).status == 400  # type: ignore[list-item]
 
     def test_responses_cached(self, cryptext_small):
-        cache = TTLCache(max_entries=32, default_ttl=60)
-        service = CrypTextService(cryptext_small, cache=cache)
+        # A repeated /v1/lookup is answered by the system's query cache: one
+        # hit per query and nothing stored.
+        cache = cryptext_small.cache
+        service = CrypTextService(cryptext_small)
         token = service.issue_token("t").token
-        service.lookup(token, ["vaccine"])
-        before = cache.stats.hits
-        service.lookup(token, ["vaccine"])
-        assert cache.stats.hits == before + 1
+        first = service.lookup(token, ["vaccine"])
+        hits, sets = cache.stats.hits, cache.stats.sets
+        second = service.lookup(token, ["vaccine"])
+        assert second.body == first.body
+        assert cache.stats.hits == hits + 1
+        assert cache.stats.sets == sets
+
+
+@pytest.mark.parametrize(
+    "path, payload, field",
+    [
+        ("/v1/lookup", {"queries": "vaccine"}, "queries"),
+        ("/v1/lookup", {"queries": {"vaccine": 1}}, "queries"),
+        ("/v1/lookup", {"queries": 5}, "queries"),
+        ("/v1/lookup", {"queries": ["vaccine"], "max_edit_distance": "3"}, "max_edit_distance"),
+        ("/v1/lookup", {"queries": ["vaccine"], "max_edit_distance": -2}, "max_edit_distance"),
+        ("/v1/lookup", {"queries": ["vaccine"], "max_edit_distance": 1.5}, "max_edit_distance"),
+        ("/v1/batch/lookup", {"queries": "vaccine"}, "queries"),
+        ("/v1/batch/lookup", {"queries": ["vaccine"], "max_edit_distance": -2}, "max_edit_distance"),
+        ("/v1/normalize", {"texts": "teh vacc1ne"}, "texts"),
+        ("/v1/batch/normalize", {"texts": "teh vacc1ne"}, "texts"),
+        ("/v1/perturb", {"texts": "the vaccine"}, "texts"),
+    ],
+    ids=[
+        "lookup-string", "lookup-object", "lookup-number", "distance-string",
+        "distance-negative", "distance-float", "batch-lookup-string",
+        "batch-lookup-distance-negative", "normalize-string",
+        "batch-normalize-string", "perturb-string",
+    ],
+)
+def test_malformed_read_requests_are_400(service, token, path, payload, field):
+    front = AsyncCrypTextService(service, reader_threads=1)
+
+    async def scenario():
+        try:
+            return await front.dispatch("POST", path, token, payload)
+        finally:
+            await front.stop()
+
+    response = asyncio.run(scenario())
+    assert response.status == 400, response.body
+    assert field in response.body["error"]
 
 
 class TestNormalizeEndpoint:

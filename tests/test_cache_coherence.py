@@ -1,7 +1,7 @@
 """Differential cache-coherence suite: every read path equals a cache-off oracle.
 
-A system with every cache on (query cache, whole-response cache, batch
-memo, compiled buckets) and an oracle built with ``cache_enabled=False`` —
+A system with every cache on (query cache, batch memo, compiled buckets)
+and an oracle built with ``cache_enabled=False`` —
 compiled buckets off too, so it reads the document store directly — receive
 the same writes through each write path: ``dictionary.add_token``,
 ``learn_from``, ``batch.enrich``, and a :class:`StreamCrawler` that holds
@@ -10,7 +10,10 @@ only the dictionary.  Every read path of the system — ``look_up``,
 ``/v1/lookup``, ``/v1/normalize`` and ``/v1/batch/lookup`` — must answer
 exactly what the oracle's sequential ``look_up`` / ``normalize`` answers,
 whatever writes came before.  A fixed follower case checks that WAL replay
-reaches a replica's caches the same way.
+reaches a replica's caches the same way.  Two fixed race cases pin the
+service's answers: a write that lands while a ``/v1/lookup`` is being
+answered, and a replica-routed ``/v1/lookup`` served by a lagging follower,
+must both leave the next request equal to the oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro import CrypText, CrypTextConfig
 from repro.api import CrypTextService, RateLimiter
-from repro.replication import Follower
+from repro.replication import Follower, ReplicaSet
 from repro.social import SocialPlatform, StreamCrawler
 from repro.storage import SNAPSHOT_FILE_NAME
 from repro.wal import ChangeLog, wal_directory_for
@@ -185,4 +188,60 @@ def test_follower_replay_reaches_the_replica_caches(tmp_path):
         assert follower.catch_up() == 3
         assert_matches_oracle()
     finally:
+        wal.close()
+
+
+def test_a_write_during_a_lookup_leaves_no_stale_answer(monkeypatch):
+    harness = Harness()
+    real_look_up = CrypText.look_up
+    pending = ["demmocrats"]
+
+    def look_up_then_write(system, query, **kwargs):
+        result = real_look_up(system, query, **kwargs)
+        if system is harness.system and pending:
+            # The write lands after the answer was computed, before the
+            # request returns it.
+            harness.write("add_token", pending.pop())
+        return result
+
+    monkeypatch.setattr(CrypText, "look_up", look_up_then_write)
+    harness._serve("/v1/lookup", ("democrats",))
+    assert not pending
+    harness.check("/v1/lookup", ("democrats",))
+
+
+def test_replica_routed_lookup_matches_the_oracle_after_catch_up(tmp_path):
+    leader = CrypText.from_corpus(CORPUS, seed_lexicon=False)
+    leader.save_snapshot(tmp_path / SNAPSHOT_FILE_NAME)
+    wal = ChangeLog(wal_directory_for(tmp_path))
+    leader.dictionary.attach_wal(wal)
+    oracle = CrypText.from_corpus(CORPUS, config=ORACLE_CONFIG, seed_lexicon=False)
+    follower = Follower(tmp_path)
+    replicas = ReplicaSet(leader, [follower], max_staleness_seconds=3600)
+    service = CrypTextService(
+        leader,
+        replica_set=replicas,
+        rate_limiter=RateLimiter(max_requests=10**9, window_seconds=1.0),
+    )
+    token = service.issue_token("coherence").token
+
+    def lookup() -> dict:
+        response = service.lookup(token, ["democrats"])
+        assert response.status == 200, response.body
+        return response.body["results"]
+
+    try:
+        follower.catch_up()
+        lookup()
+        leader.dictionary.add_token("demmocrats")
+        oracle.dictionary.add_token("demmocrats")
+        # The follower has not replayed the write yet but is inside the
+        # staleness bound, so it still serves the pre-write answer.
+        lagging = lookup()
+        assert "demmocrats" not in [m["token"] for m in lagging["democrats"]["matches"]]
+        assert follower.catch_up() == 1
+        assert lookup() == {"democrats": oracle.look_up("democrats").to_dict()}
+        assert replicas.status()["routed_to_followers"] == 3
+    finally:
+        replicas.close()
         wal.close()

@@ -1012,6 +1012,42 @@ class TestAsyncFrontProtocolEdges:
         asyncio.run(scenario())
 
     @pytest.mark.parametrize(
+        "method, path, declared, status, body",
+        [
+            # More digits than int() converts: refused before the body.
+            ("POST", "/v1/lookup", b"9" * 5000, b" 400 ", b"request body too large"),
+            # Leading zeros do not count: this is an empty body.
+            ("GET", "/v1/stats", b"0" * 5000, b" 200 ", b'"stats"'),
+        ],
+        ids=["5000-digits", "5000-zeros"],
+    )
+    def test_overlong_content_length(self, tmp_path, method, path, declared, status, body):
+        service, token = _plain_service(tmp_path)
+        front = AsyncCrypTextService(service, reader_threads=1)
+
+        async def scenario():
+            host, port = await front.start()
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(
+                    method.encode("ascii") + b" " + path.encode("ascii")
+                    + b" HTTP/1.1\r\nConnection: close\r\nAuthorization: Bearer "
+                    + token.encode("ascii")
+                    + b"\r\nContent-Length: "
+                    + declared
+                    + b"\r\n\r\n"
+                )
+                await writer.drain()
+                raw = await asyncio.wait_for(reader.read(-1), 10)  # EOF: closed
+                writer.close()
+                assert status in raw.split(b"\r\n", 1)[0], raw[:300]
+                assert body in raw
+            finally:
+                await front.stop()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize(
         "header_lines",
         [
             [b"X-Pad-%d: v" % index for index in range(20_000)],
@@ -1101,10 +1137,11 @@ class TestAsyncFrontProtocolEdges:
 
 
 def _handler_threads(
-    tmp_path, method: str, path: str, payload: dict | None, handler: str, **front
+    tmp_path, method: str, path: str, payload: dict | None, handler: str,
+    status: int = 200, **front
 ) -> tuple[list[str], str]:
-    """Dispatch one request; return the threads ``service.<handler>`` ran
-    on and the event loop's own thread."""
+    """Dispatch one request that must answer ``status``; return the threads
+    ``service.<handler>`` ran on and the event loop's own thread."""
     service, token = _plain_service(tmp_path)
     threads: list[str] = []
     real = getattr(service, handler)
@@ -1118,7 +1155,7 @@ def _handler_threads(
 
     async def scenario():
         response = await front_service.dispatch(method, path, token, payload)
-        assert response.status == 200, response.body
+        assert response.status == status, response.body
         return threading.current_thread().name
 
     return threads, asyncio.run(scenario())
@@ -1151,32 +1188,32 @@ class TestAsyncFrontInlineSplit:
         assert threads == [loop_thread]
 
     @pytest.mark.parametrize(
-        "method, path, payload, handler, front",
+        "method, path, payload, handler, status, front",
         [
             (
                 "POST", "/v1/lookup", {"queries": ["v"] * (INLINE_MAX_ITEMS + 1)},
-                "lookup", {},
+                "lookup", 200, {},
             ),
             (
                 "POST", "/v1/lookup",
                 {"queries": _AT_THE_BOUND[:-1] + ["v" * (_PER_ITEM + 1)]},
-                "lookup", {},
+                "lookup", 200, {},
             ),
-            # Not a list: the handler decides what it means.
-            ("POST", "/v1/lookup", {"queries": "vaccine"}, "lookup", {}),
-            ("GET", "/v1/stats", None, "stats", {}),
+            # Not a list: the handler decides what it means (a 400).
+            ("POST", "/v1/lookup", {"queries": "vaccine"}, "lookup", 400, {}),
+            ("GET", "/v1/stats", None, "stats", 200, {}),
             (
-                "POST", "/v1/lookup", {"queries": ["vaccine"]}, "lookup",
+                "POST", "/v1/lookup", {"queries": ["vaccine"]}, "lookup", 200,
                 {"request_deadline": 30.0},
             ),
         ],
         ids=["one-item-over", "one-char-over", "not-a-list", "stats", "deadline"],
     )
     def test_other_requests_run_on_the_pool(
-        self, tmp_path, method, path, payload, handler, front
+        self, tmp_path, method, path, payload, handler, status, front
     ):
         threads, _loop_thread = _handler_threads(
-            tmp_path, method, path, payload, handler, **front
+            tmp_path, method, path, payload, handler, status=status, **front
         )
         assert len(threads) == 1 and threads[0].startswith("cryptext-read")
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import CacheError
-from repro.storage import TTLCache, cached, make_key
+from repro.storage import TTLCache, make_key
 
 
 class FakeClock:
@@ -171,33 +171,6 @@ class TestStats:
 
 
 class TestGetOrComputeAndDecorator:
-    def test_get_or_compute_only_computes_once(self):
-        cache = TTLCache()
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return "value"
-
-        assert cache.get_or_compute("k", compute) == "value"
-        assert cache.get_or_compute("k", compute) == "value"
-        assert len(calls) == 1
-
-    def test_cached_decorator(self):
-        cache = TTLCache()
-        calls = []
-
-        @cached(cache)
-        def slow_lookup(word: str, limit: int = 3) -> str:
-            calls.append(word)
-            return word.upper()
-
-        assert slow_lookup("vaccine") == "VACCINE"
-        assert slow_lookup("vaccine") == "VACCINE"
-        assert slow_lookup("vaccine", limit=5) == "VACCINE"
-        assert len(calls) == 2  # different kwargs -> different key
-        assert slow_lookup.cache is cache
-
     def test_make_key_handles_unhashable_arguments(self):
         key_a = make_key(["a", "b"], {"x": 1}, flag={"s", "t"})
         key_b = make_key(["a", "b"], {"x": 1}, flag={"t", "s"})
