@@ -6,7 +6,9 @@ document corpus:
 * **sequential baseline** — one engine call per document, exactly how the
   pre-batch consumers (`look_up_many`, `normalize_many`) iterate;
 * **batch engine** — `BatchEngine.look_up_batch` / `normalize_batch`
-  (query and bucket deduplication + per-token memoization).
+  (query and document deduplication + per-token memoization);
+* **stream** — `BatchEngine.stream_normalize` over the same documents, one
+  chunk at a time on the calling thread, raced against `normalize_batch`.
 
 Run as a script (not collected by pytest)::
 
@@ -14,13 +16,14 @@ Run as a script (not collected by pytest)::
     PYTHONPATH=src python benchmarks/bench_batch_throughput.py --smoke      # CI: small + assertion
 
 The full run writes ``benchmarks/results/batch_throughput.json``; the smoke
-run asserts the batch engine beats the sequential baseline so throughput
-regressions surface in CI.
+run asserts the batch engine beats the sequential baseline, and that the
+stream keeps up with the batch, so throughput regressions surface in CI.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import sys
@@ -52,6 +55,43 @@ def _time(callable_) -> tuple[float, object]:
     start = time.perf_counter()
     result = callable_()
     return time.perf_counter() - start, result
+
+
+def stream_versus_batch(
+    base_texts: list[str],
+    queries: list[str],
+    documents: list[str],
+    expected: list,
+    rounds: int = 3,
+) -> dict:
+    """Best Normalization seconds of the stream and the batch, fresh systems.
+
+    Every run builds a fresh system and warms it with the same Look Ups as
+    the batch section, so each starts from cold memos and cold
+    English-only tries, and starts after a full collection, so the garbage
+    of the run before is not collected inside its window.  Rounds
+    alternate which path runs first, and each path keeps its best run: on
+    a shared machine interference only ever slows a run down.
+    """
+    runs = {
+        "batch": lambda engine: engine.normalize_batch(documents),
+        "stream": lambda engine: list(engine.stream_normalize(documents)),
+    }
+    best = dict.fromkeys(runs, float("inf"))
+    for round_index in range(rounds):
+        for path in ("batch", "stream") if round_index % 2 == 0 else ("stream", "batch"):
+            engine = CrypText.from_corpus(base_texts).batch
+            engine.look_up_batch(queries)
+            gc.collect()
+            elapsed, output = _time(lambda: runs[path](engine))
+            assert output == expected, f"{path} Normalization diverged from sequential"
+            best[path] = min(best[path], elapsed)
+    return {
+        "seconds": best["stream"],
+        "docs_per_sec": len(documents) / best["stream"],
+        "batch_seconds": best["batch"],
+        "vs_batch": best["batch"] / best["stream"],
+    }
 
 
 def run_benchmark(num_docs: int, seed: int) -> dict:
@@ -107,6 +147,14 @@ def run_benchmark(num_docs: int, seed: int) -> dict:
         f"({report['normalize']['batch']['speedup']:.1f}x)",
         file=sys.stderr,
     )
+
+    stream = stream_versus_batch(base_texts, queries, documents, seq_norm)
+    report["normalize"]["stream"] = stream
+    print(
+        f"normalize stream          : {stream['docs_per_sec']:10.0f} docs/sec "
+        f"({stream['vs_batch']:.2f}x batch, best of 3 fresh systems each)",
+        file=sys.stderr,
+    )
     return report
 
 
@@ -117,8 +165,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="small fast run asserting batch == sequential results and batch "
-        "not slower than sequential (>= 1.05x, CI guard)",
+        help="small fast run asserting batch == sequential == stream results, "
+        "batch not slower than sequential (>= 1.05x) and the stream at least "
+        "0.9x the batch (CI guard)",
     )
     args = parser.parse_args(argv)
 
@@ -143,6 +192,14 @@ def main(argv=None) -> int:
         # to shared-runner timer noise for a tighter bound to be stable.
         assert speedup >= 1.05, (
             f"batch normalization regressed: only {speedup:.2f}x over sequential"
+        )
+        # The stream normalizes the same documents chunk by chunk through
+        # normalize_batch, so it should match the batch's docs/sec; the
+        # floor leaves room for timer noise and per-chunk overhead.  A
+        # stream that resolves chunks on a thread pool fails it.
+        stream_ratio = report["normalize"]["stream"]["vs_batch"]
+        assert stream_ratio >= 0.9, (
+            f"streamed normalization regressed: only {stream_ratio:.2f}x the batch"
         )
         return 0
 

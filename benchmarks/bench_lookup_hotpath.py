@@ -91,7 +91,7 @@ def build_queries(num: int, rng: random.Random) -> list[str]:
 def linear_match(
     query: str, entries: list[DictionaryEntry], bound: int
 ) -> dict[int, int]:
-    """The reference per-entry scan (what build_result runs with the flag off)."""
+    """The reference per-entry scan (what Look Up runs with the flag off)."""
     distances = {}
     for index, entry in enumerate(entries):
         distance = bounded_levenshtein(query, entry.token_lower, bound)

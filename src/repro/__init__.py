@@ -63,13 +63,12 @@ from .core import (
     similarity_ratio,
     soundex_key,
 )
-from .batch import BatchEngine, EnrichmentReport
+from .batch import BatchEngine
 
 __version__ = "1.1.0"
 
 __all__ = [
     "BatchEngine",
-    "EnrichmentReport",
     "CrypTextConfig",
     "DEFAULT_CONFIG",
     "CrypTextError",

@@ -117,6 +117,17 @@ class CompiledCacheStats:
         }
 
 
+def _is_int(value: object) -> bool:
+    """Whether ``value`` is an integer (``bool`` is an ``int`` subclass, not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _validate_optional_bool(name: str, value: object) -> None:
+    """Reject an optional flag that is neither a boolean nor ``None``."""
+    if value is not None and not isinstance(value, bool):
+        raise ServiceError(f"{name} must be a boolean or null, got {value!r}")
+
+
 def _traced(route: str):
     """Trace an endpoint method under ``OBS.request(route)`` when armed.
 
@@ -259,15 +270,35 @@ class CrypTextService:
             raise ServiceError(f"every element of {what} must be a string")
 
     @staticmethod
-    def _validate_edit_distance(max_edit_distance: int | None) -> None:
-        """The per-request ``d`` override obeys ``CrypTextConfig.edit_distance``'s rule."""
-        if max_edit_distance is not None and (
-            not isinstance(max_edit_distance, int) or max_edit_distance < 0
+    def _validate_lookup_options(
+        phonetic_level: int | None,
+        max_edit_distance: int | None,
+        case_sensitive: bool,
+        use_transpositions: bool | None,
+    ) -> None:
+        """Type-check a Look Up request's overrides.
+
+        JSON ``true`` is not a level or a distance, and a truthy string is
+        not a flag.  Each such spelling would also get its own query-cache
+        key.  The ``d`` override obeys ``CrypTextConfig.edit_distance``'s
+        rule.
+        """
+        if phonetic_level is not None and not _is_int(phonetic_level):
+            raise ServiceError(
+                f"phonetic_level must be an integer, got {phonetic_level!r}"
+            )
+        if max_edit_distance is not None and not (
+            _is_int(max_edit_distance) and max_edit_distance >= 0
         ):
             raise ServiceError(
                 "max_edit_distance must be a non-negative integer, "
                 f"got {max_edit_distance!r}"
             )
+        if not isinstance(case_sensitive, bool):
+            raise ServiceError(
+                f"case_sensitive must be a boolean, got {case_sensitive!r}"
+            )
+        _validate_optional_bool("use_transpositions", use_transpositions)
 
     def _replicated(self, compute: Callable[[CrypText], T]) -> tuple[T, dict[str, str]]:
         """Run one read through the replica set (breaker accounting, leader
@@ -320,7 +351,9 @@ class CrypTextService:
             return guard
         try:
             self._validate_batch(queries, self.max_batch_size, "queries")
-            self._validate_edit_distance(max_edit_distance)
+            self._validate_lookup_options(
+                phonetic_level, max_edit_distance, case_sensitive, use_transpositions
+            )
         except ServiceError as exc:
             return ServiceResponse(status=400, body={"error": str(exc)})
         try:
@@ -372,8 +405,13 @@ class CrypTextService:
             return guard
         try:
             self._validate_batch(texts, self.max_batch_size, "texts")
-            if ratio is not None and not 0.0 <= ratio <= 1.0:
-                raise ServiceError(f"ratio must lie in [0, 1], got {ratio}")
+            if ratio is not None and not (
+                isinstance(ratio, (int, float))
+                and not isinstance(ratio, bool)
+                and 0.0 <= ratio <= 1.0
+            ):
+                raise ServiceError(f"ratio must be a number in [0, 1], got {ratio!r}")
+            _validate_optional_bool("case_sensitive", case_sensitive)
         except ServiceError as exc:
             return ServiceResponse(status=400, body={"error": str(exc)})
         results = [
@@ -395,17 +433,18 @@ class CrypTextService:
         """High-throughput batch Look Up — the ``/v1/batch/lookup`` route.
 
         Unlike :meth:`lookup`, the response is an order-preserving list (one
-        entry per query, duplicates included) and the work is served by the
-        batch engine: queries and sound buckets are deduplicated, and the
-        query cache that :meth:`lookup` reads is consulted and filled per
-        query.
+        entry per query, duplicates included) served by the batch engine:
+        each distinct query is resolved once, through the same Look Up and
+        query cache that :meth:`lookup` reads.
         """
         guard = self._guard(token, "lookup")
         if isinstance(guard, ServiceResponse):
             return guard
         try:
             self._validate_batch(queries, self.max_bulk_batch_size, "queries")
-            self._validate_edit_distance(max_edit_distance)
+            self._validate_lookup_options(
+                phonetic_level, max_edit_distance, case_sensitive, use_transpositions
+            )
         except ServiceError as exc:
             return ServiceResponse(status=400, body={"error": str(exc)})
         try:

@@ -1,31 +1,27 @@
 """Batch throughput engine: Look Up / Normalization / Perturbation at scale.
 
-The deployed CrypText is an always-on service: bulk API requests, a social
-listener expanding whole watch-lists, and a crawler enriching the database
-around the clock.  :class:`BatchEngine` is the throughput layer those paths
-run on.  It combines
+The deployed CrypText is an always-on service: bulk API requests and
+whole document streams.  :class:`BatchEngine` runs the paper's functions
+over batches and streams.  It adds
 
-* **query deduplication** — repeated queries and sound keys across a batch
-  are resolved once, against the dictionary's compiled-bucket cache (the
-  one the per-query path uses) — plus **per-token memoization** of
-  Normalization candidate retrieval layered on
-  :class:`~repro.storage.TTLCache`,
-* **backpressure-aware streaming** — chunked generators with a bounded
-  number of in-flight batches — for the crawler / social-listening path,
-* **sound-scoped enrichment**: the engine observes the dictionary, so any
-  write, through any path, drops exactly the memoized tokens over the
-  sounds it changed.
+* **deduplication** — each distinct query of a Look Up batch and each
+  distinct document of a Normalization batch is resolved once,
+* **per-token memoization** of Normalization candidate retrieval, layered
+  on :class:`~repro.storage.TTLCache`; the engine observes the dictionary,
+  so any write, through any path, drops exactly the memoized tokens over
+  the sounds it changed,
+* **chunked streaming** — generators that pull one chunk of an unbounded
+  iterable at a time and resolve it on the caller's thread, so a slow
+  consumer throttles the producer.
 
-Batch results are guaranteed identical to N sequential single calls: both
-paths share :meth:`LookupEngine.build_result` and the normalizer's candidate
-logic, and all batch methods preserve input order.
+Batch results are identical to N sequential single calls: batch Look Up
+runs :meth:`LookupEngine.look_up` once per distinct query, batch
+Normalization shares the normalizer's candidate logic, and all batch
+methods preserve input order.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from ..config import CrypTextConfig
@@ -39,21 +35,6 @@ from ..lm import CoherencyScorer
 from ..storage import TTLCache, make_key
 
 _MISSING = object()
-
-
-@dataclass(frozen=True)
-class EnrichmentReport:
-    """What one enrichment pass changed (returned by :meth:`BatchEngine.enrich`)."""
-
-    added: int
-    changed_sounds: frozenset[tuple[int, str]]
-
-    def to_dict(self) -> dict[str, object]:
-        """Serialize for crawler reports and monitoring exports."""
-        return {
-            "added": self.added,
-            "num_changed_sounds": len(self.changed_sounds),
-        }
 
 
 class _MemoizedNormalizer(Normalizer):
@@ -120,9 +101,10 @@ class BatchEngine:
     dictionary:
         The token database; its compiled-bucket cache serves every bucket.
     lookup_engine:
-        Engine whose result builder and query cache the batch path shares; a
-        private one is created when omitted.  Sharing the ``CrypText``
-        facade's engine means batch and per-call traffic populate one cache.
+        Engine whose :meth:`~LookupEngine.look_up` (and query cache) the
+        batch path runs; a private one is created when omitted.  Sharing
+        the ``CrypText`` facade's engine means batch and per-call traffic
+        populate one cache.
     config:
         Hyper-parameters; defaults to the dictionary's configuration.
     scorer:
@@ -131,11 +113,9 @@ class BatchEngine:
         Perturbation sampler used by :meth:`perturb_batch`; a private seeded
         one is created when omitted.
     chunk_size:
-        Default documents-per-chunk for the streaming methods.
-    max_in_flight:
-        Default bound on concurrently processed chunks in the streaming
-        methods (the backpressure knob: an unbounded reader can be at most
-        ``max_in_flight * chunk_size`` documents ahead of the consumer).
+        Default documents-per-chunk for the streaming methods (the
+        backpressure knob: the stream reads at most one chunk ahead of the
+        consumer).
     memo_cache:
         Cache for per-token Normalization memoization (a private
         :class:`TTLCache` is created when omitted).
@@ -149,13 +129,10 @@ class BatchEngine:
         scorer: CoherencyScorer | None = None,
         perturber: Perturber | None = None,
         chunk_size: int = 256,
-        max_in_flight: int = 4,
         memo_cache: TTLCache | None = None,
     ) -> None:
         if chunk_size < 1:
             raise CrypTextError(f"chunk_size must be >= 1, got {chunk_size}")
-        if max_in_flight < 1:
-            raise CrypTextError(f"max_in_flight must be >= 1, got {max_in_flight}")
         self.dictionary = dictionary
         self.config = config if config is not None else dictionary.config
         self.lookup_engine = (
@@ -164,7 +141,6 @@ class BatchEngine:
             else LookupEngine(dictionary, config=self.config)
         )
         self.chunk_size = chunk_size
-        self.max_in_flight = max_in_flight
         self.memo = (
             memo_cache
             if memo_cache is not None
@@ -203,14 +179,10 @@ class BatchEngine:
     ) -> list[LookupResult]:
         """Look Up every query of a batch; results preserve input order.
 
-        Duplicate queries are resolved once, cache hits are served from the
-        shared query cache, and the remaining misses fetch each distinct
-        sound bucket once before being built with the exact logic of the
-        sequential path — so ``look_up_batch(qs)[i]`` equals
-        ``look_up(qs[i])`` for every ``i``.  ``use_transpositions``
-        overrides the distance policy for the whole batch exactly as the
-        per-query parameter does on :meth:`LookupEngine.look_up` (it is part
-        of every cache key consulted and populated here).
+        Each distinct query is resolved once, by :meth:`LookupEngine.look_up`
+        (query cache included), so ``look_up_batch(qs)[i]`` equals
+        ``look_up(qs[i])`` for every ``i``.  The keyword arguments apply to
+        the whole batch exactly as they do to one ``look_up`` call.
         """
         if OBS.armed:
             with OBS.span("batch.lookup"):
@@ -233,76 +205,24 @@ class BatchEngine:
         use_transpositions: bool | None,
     ) -> list[LookupResult]:
         queries = list(queries)
-        level = self.config.phonetic_level if phonetic_level is None else phonetic_level
-        distance = (
-            self.config.edit_distance if max_edit_distance is None else max_edit_distance
-        )
-        engine = self.lookup_engine
-        resolved: dict[str, LookupResult] = {}
-        misses: list[str] = []
-        for query in dict.fromkeys(queries):
-            if engine.cache is not None:
-                cache_key = engine.cache_key(
-                    query, level, distance, case_sensitive, canonical_distance,
-                    use_transpositions,
-                )
-                hit = engine.cache.get(cache_key, default=None)
-                if hit is not None:
-                    resolved[query] = hit
-                    continue
-            misses.append(query)
-        if misses:
-            encoder = self.dictionary.encoder(level)
-            sound_keys = {query: encoder.encode_or_none(query) for query in misses}
-            # Same stale-write guard as the sequential look_up: results built
-            # from buckets read before a write are returned, not stored.
-            version = self.dictionary.version
-            buckets = self._fetch_buckets(level, set(sound_keys.values()) - {None})
-            for query in misses:
-                key = sound_keys[query]
-                bucket = buckets.get(key, ())
-                result = engine.build_result(
-                    query, level, distance, case_sensitive, canonical_distance, key,
-                    bucket, use_transpositions=use_transpositions,
-                )
-                engine.cache_result(
-                    result, case_sensitive, canonical_distance, version=version,
-                    use_transpositions=use_transpositions,
-                )
-                resolved[query] = result
+        look_up = self.lookup_engine.look_up
+        resolved = {
+            query: look_up(
+                query,
+                phonetic_level=phonetic_level,
+                max_edit_distance=max_edit_distance,
+                case_sensitive=case_sensitive,
+                canonical_distance=canonical_distance,
+                use_transpositions=use_transpositions,
+            )
+            for query in dict.fromkeys(queries)
+        }
         return [resolved[query] for query in queries]
-
-    def _fetch_buckets(self, level: int, keys: set[str]) -> dict:
-        """Each distinct sound bucket of a batch, fetched once."""
-        if self.config.compiled_buckets:
-            fetch = self.dictionary.compiled_bucket
-        else:
-            fetch = self.dictionary.tokens_for_key
-        return {key: fetch(key, phonetic_level=level) for key in keys}
-
-    def look_up_many(
-        self,
-        queries: Sequence[str],
-        phonetic_level: int | None = None,
-        max_edit_distance: int | None = None,
-        case_sensitive: bool = True,
-        use_transpositions: bool | None = None,
-    ) -> dict[str, LookupResult]:
-        """Dict-shaped bulk Look Up (drop-in for ``LookupEngine.look_up_many``)."""
-        results = self.look_up_batch(
-            queries,
-            phonetic_level=phonetic_level,
-            max_edit_distance=max_edit_distance,
-            case_sensitive=case_sensitive,
-            use_transpositions=use_transpositions,
-        )
-        return {query: result for query, result in zip(queries, results)}
 
     def stream_look_up(
         self,
         queries: Iterable[str],
         chunk_size: int | None = None,
-        max_in_flight: int | None = None,
         phonetic_level: int | None = None,
         max_edit_distance: int | None = None,
         case_sensitive: bool = True,
@@ -310,10 +230,10 @@ class BatchEngine:
     ) -> Iterator[LookupResult]:
         """Stream Look Up results over an unbounded query iterable, in order.
 
-        The iterable is consumed in chunks of ``chunk_size``; at most
-        ``max_in_flight`` chunks are being resolved at once, so a slow
-        consumer exerts backpressure on the producer instead of the engine
-        buffering the whole stream (the crawler / social-listening path).
+        The iterable is consumed one chunk of ``chunk_size`` at a time, and
+        each chunk is resolved on the caller's thread when the consumer asks
+        for its first result, so a slow consumer exerts backpressure on the
+        producer instead of the engine buffering the whole stream.
         """
         yield from self._stream(
             queries,
@@ -325,7 +245,6 @@ class BatchEngine:
                 use_transpositions=use_transpositions,
             ),
             chunk_size,
-            max_in_flight,
         )
 
     # ------------------------------------------------------------------ #
@@ -354,15 +273,12 @@ class BatchEngine:
         self,
         texts: Iterable[str],
         chunk_size: int | None = None,
-        max_in_flight: int | None = None,
     ) -> Iterator[NormalizationResult]:
         """Stream Normalization results over a document iterable, in order.
 
-        Chunked and bounded exactly like :meth:`stream_look_up`.
+        Chunked exactly like :meth:`stream_look_up`.
         """
-        yield from self._stream(
-            texts, self.normalize_batch, chunk_size, max_in_flight
-        )
+        yield from self._stream(texts, self.normalize_batch, chunk_size)
 
     # ------------------------------------------------------------------ #
     # Perturbation
@@ -386,19 +302,8 @@ class BatchEngine:
         ]
 
     # ------------------------------------------------------------------ #
-    # enrichment (crawler / social-listening write path)
+    # cache coherence
     # ------------------------------------------------------------------ #
-    def enrich(self, texts: Iterable[str], source: str = "stream") -> EnrichmentReport:
-        """Add ``texts`` to the dictionary; report what changed.
-
-        The dictionary notifies every cache owner of each write, so only the
-        cached queries and memoized tokens over the changed sounds are
-        dropped; everything else stays warm.
-        """
-        changed: set[tuple[int, str]] = set()
-        added = self.dictionary.add_corpus(texts, source=source, changed_keys=changed)
-        return EnrichmentReport(added=added, changed_sounds=frozenset(changed))
-
     def note_changes(self, changed_keys: set[tuple[int, str]] | None) -> None:
         """Dictionary write notification (the ``ChangeObserver`` hook).
 
@@ -424,33 +329,18 @@ class BatchEngine:
         :meth:`~repro.wal.maintenance.MaintenanceScheduler.tick` each time a
         chunk's results are drained — a cheap no-op until the auto-save
         interval elapses, then an incremental snapshot refresh that runs
-        while the stream pool keeps resolving the next chunks.
+        before the stream pulls its next chunk.
         """
         self._maintenance = scheduler
 
-    def _tick_maintenance(self) -> None:
-        if self._maintenance is not None:
-            self._maintenance.tick()
-
-    def _stream(self, items, process, chunk_size, max_in_flight):
+    def _stream(self, items, process, chunk_size):
         size = self.chunk_size if chunk_size is None else chunk_size
-        bound = self.max_in_flight if max_in_flight is None else max_in_flight
         if size < 1:
             raise CrypTextError(f"chunk_size must be >= 1, got {size}")
-        if bound < 1:
-            raise CrypTextError(f"max_in_flight must be >= 1, got {bound}")
-        with ThreadPoolExecutor(
-            max_workers=bound, thread_name_prefix="cryptext-stream"
-        ) as pool:
-            in_flight: deque = deque()
-            for chunk in _chunked(items, size):
-                while len(in_flight) >= bound:
-                    yield from in_flight.popleft().result()
-                    self._tick_maintenance()
-                in_flight.append(pool.submit(process, chunk))
-            while in_flight:
-                yield from in_flight.popleft().result()
-                self._tick_maintenance()
+        for chunk in _chunked(items, size):
+            yield from process(chunk)
+            if self._maintenance is not None:
+                self._maintenance.tick()
 
     def stats(self) -> dict[str, object]:
         """Cache and memoization counters (monitoring export).
@@ -469,7 +359,6 @@ class BatchEngine:
             ),
             "compiled_buckets": self.dictionary.compiled_cache_stats(),
             "chunk_size": self.chunk_size,
-            "max_in_flight": self.max_in_flight,
             "maintenance": (
                 self._maintenance.status() if self._maintenance is not None else None
             ),

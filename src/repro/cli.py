@@ -794,10 +794,7 @@ def _iter_jsonl_values(path: str, field: str):
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     system = _build_system(args, train_scorer=args.mode == "normalize")
-    engine = system.make_batch_engine(
-        chunk_size=args.chunk_size,
-        max_in_flight=args.max_in_flight,
-    )
+    engine = system.make_batch_engine(chunk_size=args.chunk_size)
     if args.output is None:
         out = sys.stdout
     else:
@@ -1126,9 +1123,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch_cmd.add_argument("--output", help="output JSONL path (default: stdout)")
     batch_cmd.add_argument("--chunk-size", type=int, default=256, help="documents per chunk")
-    batch_cmd.add_argument(
-        "--max-in-flight", type=int, default=4, help="bound on concurrently processed chunks"
-    )
     batch_cmd.add_argument("--limit", type=int, default=15, help="perturbations kept per query")
     _add_source_arguments(batch_cmd)
     batch_cmd.set_defaults(handler=_cmd_batch)

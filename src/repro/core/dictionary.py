@@ -493,30 +493,17 @@ class PerturbationDictionary:
         self._notify_observers(pairs)
         return outcome
 
-    def add_text(
-        self,
-        text: str,
-        source: str | None = None,
-        changed_keys: set[tuple[int, str]] | None = None,
-    ) -> int:
+    def add_text(self, text: str, source: str | None = None) -> int:
         """Tokenize ``text`` and add every word token; returns tokens added."""
         added = 0
         for token in self.tokenizer.word_tokens(text):
-            if self.add_token(token.text, source=source, changed_keys=changed_keys):
+            if self.add_token(token.text, source=source):
                 added += 1
         return added
 
-    def add_corpus(
-        self,
-        texts: Iterable[str],
-        source: str | None = None,
-        changed_keys: set[tuple[int, str]] | None = None,
-    ) -> int:
+    def add_corpus(self, texts: Iterable[str], source: str | None = None) -> int:
         """Add every text of ``texts``; returns total word tokens recorded."""
-        return sum(
-            self.add_text(text, source=source, changed_keys=changed_keys)
-            for text in texts
-        )
+        return sum(self.add_text(text, source=source) for text in texts)
 
     def learn_batch(self, texts: Iterable[str], source: str | None = None) -> int:
         """Record a whole enrichment round as one journaled mutation.

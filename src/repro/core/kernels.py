@@ -35,18 +35,10 @@ Three kernels exist, selected per query by a policy string
 ``linear`` is not a compiled kernel: it names the non-compiled per-entry
 scan path in the shared hit counters (:class:`KernelCounters`), so the
 stats surface accounts for every match a query engine performs.
-
-An optional **cffi fast path** (:func:`native_distance`) compiles a C
-implementation of the same Myers recurrence for single string pairs.  It is
-probed lazily behind the ``CRYPTEXT_NATIVE=1`` environment flag and used by
-the SymSpell verification loop, where one call scores one whole candidate
-(amortizing the FFI crossing); absence of a compiler, of cffi, or of the
-flag silently keeps the pure-python verifier.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Mapping, Tuple
 
 __all__ = [
@@ -60,8 +52,6 @@ __all__ = [
     "myers_trie_match",
     "resolve_kernel",
     "KernelCounters",
-    "native_distance",
-    "native_available",
 ]
 
 #: Legal values of ``config.match_kernel`` (the selection policy).
@@ -247,95 +237,3 @@ class KernelCounters:
         for name, value in items.items():
             self.note(name, int(value))
 
-
-# --------------------------------------------------------------------- #
-# optional cffi fast path (feature-probed, never required)
-# --------------------------------------------------------------------- #
-_NATIVE_SENTINEL = object()
-_native = _NATIVE_SENTINEL  # resolved on first probe; None = unavailable
-
-_NATIVE_SOURCE = r"""
-#include <stdint.h>
-
-/* Myers/Hyyro bit-parallel edit distance for strings of <= 64 codepoints.
-   Returns the exact Levenshtein distance, or -1 when it provably exceeds
-   `bound` (early exit on the same score/remaining-length argument the
-   python trie kernel prunes with). */
-int myers_distance64(const uint32_t *pattern, int m,
-                     const uint32_t *text, int n, int bound)
-{
-    if (m == 0) return n <= bound ? n : -1;
-    if (n == 0) return m <= bound ? m : -1;
-    uint64_t vp = (m == 64) ? ~0ULL : ((1ULL << m) - 1ULL);
-    uint64_t vn = 0;
-    uint64_t high = 1ULL << (m - 1);
-    int score = m;
-    for (int j = 0; j < n; j++) {
-        uint32_t c = text[j];
-        uint64_t eq = 0;
-        for (int i = 0; i < m; i++)
-            if (pattern[i] == c) eq |= 1ULL << i;
-        uint64_t xv = eq | vn;
-        uint64_t xh = (((eq & vp) + vp) ^ vp) | eq;
-        uint64_t ph = vn | ~(xh | vp);
-        uint64_t mh = vp & xh;
-        if (ph & high) score++;
-        else if (mh & high) score--;
-        ph = (ph << 1) | 1ULL;
-        vp = (mh << 1) | ~(xv | ph);
-        vn = ph & xv;
-        if (score - (n - 1 - j) > bound) return -1;
-    }
-    return score <= bound ? score : -1;
-}
-"""
-
-
-def _probe_native():
-    """Compile the cffi kernel once; any failure disables the fast path."""
-    global _native
-    if _native is not _NATIVE_SENTINEL:
-        return _native
-    _native = None
-    if os.environ.get("CRYPTEXT_NATIVE") != "1":
-        return None
-    try:  # lint: allow=swallowed-exception (feature probe: any failure means "no native path")
-        import cffi
-
-        ffi = cffi.FFI()
-        ffi.cdef(
-            "int myers_distance64(const uint32_t *pattern, int m,"
-            " const uint32_t *text, int n, int bound);"
-        )
-        library = ffi.verify(_NATIVE_SOURCE)
-        _native = (ffi, library)
-    except Exception:
-        _native = None
-    return _native
-
-
-def native_available() -> bool:
-    """Whether the cffi Myers kernel compiled (probes on first call)."""
-    return _probe_native() is not None
-
-
-def native_distance(a: str, b: str, bound: int) -> "int | None":
-    """Exact distance of ``a``/``b`` via the C kernel, ``None`` beyond bound.
-
-    Mirrors :func:`repro.core.edit_distance.bounded_levenshtein` exactly
-    for strings of at most :data:`MYERS_MAX_PATTERN` codepoints; raises
-    ``ValueError`` on longer input or when the native path is unavailable
-    (callers check :func:`native_available` and string lengths first).
-    """
-    probed = _probe_native()
-    if probed is None:
-        raise ValueError("native kernel is unavailable")
-    if len(a) > MYERS_MAX_PATTERN or len(b) > MYERS_MAX_PATTERN:
-        raise ValueError("native kernel accepts at most 64 codepoints per string")
-    if bound < 0:
-        return None
-    ffi, library = probed
-    pattern = ffi.new("uint32_t[]", [ord(ch) for ch in a] or [0])
-    text = ffi.new("uint32_t[]", [ord(ch) for ch in b] or [0])
-    distance = library.myers_distance64(pattern, len(a), text, len(b), bound)
-    return None if distance < 0 else distance

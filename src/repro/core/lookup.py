@@ -193,29 +193,25 @@ class LookupEngine:
             category=category,
         )
 
-    def build_result(
+    def _execute(
         self,
         query: str,
         phonetic_level: int,
         max_edit_distance: int,
         case_sensitive: bool,
         canonical_distance: bool,
-        soundex_key: str | None,
-        bucket: Sequence[DictionaryEntry],
-        use_transpositions: bool | None = None,
+        use_transpositions: bool | None,
     ) -> LookupResult:
-        """Assemble a :class:`LookupResult` from a pre-fetched sound bucket.
+        """Compute one Look Up: encode, fetch the sound bucket, match, rank.
 
-        This is the single matching/merging/ranking path shared by the
-        per-query route (:meth:`look_up`) and the batch engine (which fetches
-        each distinct bucket of a batch once) — guaranteeing batch results
-        are identical to sequential ones.
-
-        When ``bucket`` is a :class:`~repro.core.matcher.CompiledBucket` the
-        edit distances come from one trie traversal instead of a per-entry
-        scan; merge/rank semantics are unchanged because matches are still
-        folded in bucket order with the exact distances the scan produces.
+        With ``config.compiled_buckets`` the bucket is a
+        :class:`~repro.core.matcher.CompiledBucket` and the edit distances
+        come from one trie traversal instead of a per-entry scan;
+        merge/rank semantics are unchanged because matches are still folded
+        in bucket order with the exact distances the scan produces.
         """
+        encoder = self.dictionary.encoder(phonetic_level)
+        soundex_key = encoder.encode_or_none(query)
         if soundex_key is None:
             return LookupResult(
                 query=query,
@@ -224,7 +220,15 @@ class LookupEngine:
                 soundex_key=None,
                 matches=(),
             )
-        encoder = self.dictionary.encoder(phonetic_level)
+        bucket: Sequence[DictionaryEntry]
+        if self.config.compiled_buckets:
+            bucket = self.dictionary.compiled_bucket(
+                soundex_key, phonetic_level=phonetic_level
+            )
+        else:
+            bucket = self.dictionary.tokens_for_key(
+                soundex_key, phonetic_level=phonetic_level
+            )
         query_canonical = encoder.canonicalize(query)
         query_lower = query.lower()
         # One distance policy for filtering *and* categorization, shared
@@ -314,37 +318,6 @@ class LookupEngine:
             matches=tuple(ordered),
         )
 
-    def _execute(
-        self,
-        query: str,
-        phonetic_level: int,
-        max_edit_distance: int,
-        case_sensitive: bool,
-        canonical_distance: bool = False,
-        use_transpositions: bool | None = None,
-    ) -> LookupResult:
-        soundex_key = self.dictionary.encoder(phonetic_level).encode_or_none(query)
-        bucket: Sequence[DictionaryEntry] = ()
-        if soundex_key is not None:
-            if self.config.compiled_buckets:
-                bucket = self.dictionary.compiled_bucket(
-                    soundex_key, phonetic_level=phonetic_level
-                )
-            else:
-                bucket = self.dictionary.tokens_for_key(
-                    soundex_key, phonetic_level=phonetic_level
-                )
-        return self.build_result(
-            query,
-            phonetic_level,
-            max_edit_distance,
-            case_sensitive,
-            canonical_distance,
-            soundex_key,
-            bucket,
-            use_transpositions=use_transpositions,
-        )
-
     def cache_key(
         self,
         query: str,
@@ -356,9 +329,7 @@ class LookupEngine:
     ) -> Hashable:
         """The cache key a Look Up with these parameters is stored under.
 
-        Exposed so the batch engine populates the same cache entries the
-        per-query route consults (one cache, two access paths).  The
-        *resolved* distance policy — the per-query ``use_transpositions``
+        The *resolved* distance policy — the per-query ``use_transpositions``
         override, or the config default when none was given — is part of the
         key: engines sharing one cache object with different policies must
         never serve each other's results (the same pair can be in-bound
@@ -368,36 +339,6 @@ class LookupEngine:
         return make_key(
             "lookup", query, phonetic_level, max_edit_distance, case_sensitive,
             canonical_distance, self.resolve_transpositions(use_transpositions),
-        )
-
-    def cache_result(self, result: LookupResult, case_sensitive: bool,
-                     canonical_distance: bool, version: int,
-                     use_transpositions: bool | None = None) -> None:
-        """Store ``result`` in the query cache, tagged with its sound bucket.
-
-        ``version`` is the dictionary's, captured before the result was
-        computed.  The store is atomically guarded by it: it is skipped when
-        any write landed in the meantime, so a result built from a pre-write
-        bucket can never outlive the write's invalidation.
-        """
-        if self.cache is None:
-            return
-        key = self.cache_key(
-            result.query,
-            result.phonetic_level,
-            result.max_edit_distance,
-            case_sensitive,
-            canonical_distance,
-            use_transpositions,
-        )
-        tags = (
-            (sound_tag(result.phonetic_level, result.soundex_key),)
-            if result.soundex_key is not None
-            else ()
-        )
-        dictionary = self.dictionary
-        self.cache.set_if(
-            key, result, lambda: dictionary.version == version, tags=tags
         )
 
     def note_changes(self, changed_keys: set[tuple[int, str]] | None) -> None:
@@ -454,21 +395,30 @@ class LookupEngine:
                 query, level, distance, case_sensitive, canonical_distance,
                 use_transpositions,
             )
-        cache_key = self.cache_key(
+        key = self.cache_key(
             query, level, distance, case_sensitive, canonical_distance,
             use_transpositions,
         )
-        cached = self.cache.get(cache_key, default=None)
+        cached = self.cache.get(key, default=None)
         if cached is not None:
             return cached
-        version = self.dictionary.version
+        dictionary = self.dictionary
+        version = dictionary.version
         result = self._execute(
             query, level, distance, case_sensitive, canonical_distance,
             use_transpositions,
         )
-        self.cache_result(
-            result, case_sensitive, canonical_distance, version=version,
-            use_transpositions=use_transpositions,
+        # Tagged with its sound bucket, and atomically guarded by the
+        # version read before the bucket was: the store is skipped when any
+        # write landed in the meantime, so a result built from a pre-write
+        # bucket can never outlive the write's invalidation.
+        tags = (
+            (sound_tag(level, result.soundex_key),)
+            if result.soundex_key is not None
+            else ()
+        )
+        self.cache.set_if(
+            key, result, lambda: dictionary.version == version, tags=tags
         )
         return result
 

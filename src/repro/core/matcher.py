@@ -53,13 +53,7 @@ from ..analysis.sanitizer import tracked_lock
 from .deletes import DeleteIndex
 from .dictionary import DictionaryEntry
 from .edit_distance import bounded_levenshtein, bounded_osa
-from .kernels import (
-    MYERS_MAX_PATTERN,
-    myers_trie_match,
-    native_available,
-    native_distance,
-    resolve_kernel,
-)
+from .kernels import myers_trie_match, resolve_kernel
 
 __all__ = ["CompiledBucket", "TrieFamily", "TrieFamilyRegistry"]
 
@@ -580,7 +574,7 @@ class CompiledBucket(Sequence[DictionaryEntry]):
     Behaves as an immutable sequence of its :class:`DictionaryEntry` objects
     (in ``tokens_for_key`` order), so every consumer of a plain bucket —
     including the linear fallback path of
-    :meth:`~repro.core.lookup.LookupEngine.build_result` — accepts a
+    :meth:`~repro.core.lookup.LookupEngine.look_up` — accepts a
     compiled one unchanged.  The raw-spelling and canonical-form tries are
     built lazily on first use (canonical-distance queries are rare) and live
     on the bucket's :class:`TrieFamily` — pass ``family`` (usually obtained
@@ -663,7 +657,7 @@ class CompiledBucket(Sequence[DictionaryEntry]):
         ``query`` must already be in the compared representation — the
         *lowered* raw spelling for the default mode, the *canonical* folded
         form when ``canonical`` is true (mirroring what
-        ``LookupEngine.build_result`` compares).  Returns a mapping
+        ``LookupEngine.look_up`` compares).  Returns a mapping
         from entry index (position in :attr:`entries`) to its exact
         distance; entries beyond the bound are absent, exactly as
         ``bounded_levenshtein`` returns ``None`` for them.
@@ -786,9 +780,8 @@ class CompiledBucket(Sequence[DictionaryEntry]):
         The index (built lazily on the family, like the tries) yields a
         superset of the true match set for ``d <= 2`` under Levenshtein and
         OSA alike; each candidate is then scored with the same bounded
-        distance the linear path uses — or the cffi Myers kernel when it is
-        compiled in and both strings fit a word — so the returned mapping
-        is byte-identical to the trie traversals'.
+        distance the linear path uses, so the returned mapping is
+        byte-identical to the trie traversals'.
         """
         index = self.family.delete_index(canonical, english_only, self.entries)
         candidates = index.candidates(query, max_distance)
@@ -796,19 +789,11 @@ class CompiledBucket(Sequence[DictionaryEntry]):
             return {}
         entries = self.entries
         results: Dict[int, int] = {}
-        use_native = (
-            not transpositions
-            and len(query) <= MYERS_MAX_PATTERN
-            and native_available()
-        )
         verify = bounded_osa if transpositions else bounded_levenshtein
         for entry_index in candidates:
             entry = entries[entry_index]
             text = entry.canonical if canonical else entry.token_lower
-            if use_native and len(text) <= MYERS_MAX_PATTERN:
-                distance = native_distance(query, text, max_distance)
-            else:
-                distance = verify(query, text, max_distance)
+            distance = verify(query, text, max_distance)
             if distance is not None:
                 results[entry_index] = distance
         return results

@@ -197,14 +197,12 @@ class CrypText:
     def social_listener(self, platform: "SocialPlatform") -> "SocialListener":
         """Social Listening (§III-E): a listener bound to this dictionary.
 
-        The listener expands whole watch-lists through this instance's batch
-        engine, so repeated keywords across a watch-list are resolved once.
+        The listener expands keywords through this instance's lookup engine,
+        so its Look Ups share the query cache with every other read path.
         """
         from ..social.listening import SocialListener
 
-        return SocialListener(
-            platform=platform, lookup=self.lookup_engine, batch_engine=self.batch
-        )
+        return SocialListener(platform=platform, lookup=self.lookup_engine)
 
     # ------------------------------------------------------------------ #
     # batch & streaming
@@ -220,12 +218,8 @@ class CrypText:
             self._batch_engine = self.make_batch_engine()
         return self._batch_engine
 
-    def make_batch_engine(
-        self,
-        chunk_size: int = 256,
-        max_in_flight: int = 4,
-    ) -> "BatchEngine":
-        """Build a batch engine over this system with custom stream knobs.
+    def make_batch_engine(self, chunk_size: int = 256) -> "BatchEngine":
+        """Build a batch engine over this system with a custom stream chunk size.
 
         The returned engine becomes the one :attr:`batch` exposes.
         """
@@ -238,7 +232,6 @@ class CrypText:
             scorer=self.scorer,
             perturber=self.perturber,
             chunk_size=chunk_size,
-            max_in_flight=max_in_flight,
         )
         if self._maintenance is not None:
             self._batch_engine.attach_maintenance(self._maintenance)
@@ -254,9 +247,9 @@ class CrypText:
     ) -> list[LookupResult]:
         """Batch Look Up: one result per query, input order preserved.
 
-        Identical to calling :meth:`look_up` once per query, but duplicate
-        queries and sound buckets are resolved once.
-        ``use_transpositions`` overrides the distance policy for the batch.
+        Identical to calling :meth:`look_up` once per query; duplicate
+        queries are resolved once.  ``use_transpositions`` overrides the
+        distance policy for the batch.
         """
         return self.batch.look_up_batch(
             queries,

@@ -22,7 +22,6 @@ from ..errors import CrawlerError
 from .platform import SocialPlatform
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
-    from ..batch import BatchEngine
     from ..wal.maintenance import MaintenanceScheduler
 
 
@@ -54,6 +53,10 @@ class CrawlReport:
 class StreamCrawler:
     """Pulls platform stream batches into the perturbation dictionary.
 
+    Each round is one :meth:`~PerturbationDictionary.add_corpus` write.
+    Every cache built on the dictionary observes it, so a round drops
+    exactly the cached queries whose sound buckets it changed.
+
     Parameters
     ----------
     platform:
@@ -64,11 +67,6 @@ class StreamCrawler:
         Posts per crawl round.
     source_label:
         Source tag recorded on every dictionary entry added by this crawler.
-    batch_engine:
-        Optional batch engine.  When present, each round is ingested through
-        :meth:`BatchEngine.enrich`.  Either way every cache built on the
-        dictionary observes its writes, so a round drops exactly the cached
-        queries whose sound buckets it changed.
     scheduler:
         Optional :class:`~repro.wal.maintenance.MaintenanceScheduler`.
         When present, every crawl round ends with a cooperative
@@ -84,20 +82,16 @@ class StreamCrawler:
         dictionary: PerturbationDictionary,
         batch_size: int = 200,
         source_label: str | None = None,
-        batch_engine: "BatchEngine | None" = None,
         scheduler: "MaintenanceScheduler | None" = None,
     ) -> None:
         if batch_size < 1:
             raise CrawlerError(f"batch_size must be >= 1, got {batch_size}")
-        if batch_engine is not None and batch_engine.dictionary is not dictionary:
-            raise CrawlerError("batch_engine must wrap the same dictionary")
         self.platform = platform
         self.dictionary = dictionary
         self.batch_size = batch_size
         self.source_label = source_label or f"{platform.name}_stream"
         if scheduler is not None and scheduler.dictionary is not dictionary:
             raise CrawlerError("scheduler must maintain the same dictionary")
-        self.batch_engine = batch_engine
         self.scheduler = scheduler
         self._cursor = 0
         self._rounds = 0
@@ -131,14 +125,9 @@ class StreamCrawler:
             return None
         stats_before = self.dictionary.stats()
         level = self.dictionary.config.phonetic_level
-        texts = [str(post["text"]) for post in batch]
-        if self.batch_engine is not None:
-            tokens_seen = self.batch_engine.enrich(texts, source=self.source_label).added
-        else:
-            tokens_seen = sum(
-                self.dictionary.add_text(text, source=self.source_label)
-                for text in texts
-            )
+        tokens_seen = self.dictionary.add_corpus(
+            (str(post["text"]) for post in batch), source=self.source_label
+        )
         stats_after = self.dictionary.stats()
         self._cursor = int(batch[-1]["post_id"])
         self._rounds += 1

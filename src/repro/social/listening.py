@@ -17,15 +17,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Sequence, TYPE_CHECKING
+from typing import Sequence
 
 from ..core.lookup import LookupEngine
 from ..errors import PlatformError
 from ..sentiment import SentimentAnalyzer
 from .platform import SocialPlatform
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
-    from ..batch import BatchEngine
 
 
 @dataclass(frozen=True)
@@ -90,10 +87,6 @@ class SocialListener:
         lexicon analyzer is created when omitted).
     max_perturbations:
         Cap on how many perturbations per keyword are used as extra queries.
-    batch_engine:
-        Optional batch engine; when present, watch-lists are expanded through
-        :meth:`BatchEngine.look_up_batch` (queries and buckets deduplicated)
-        instead of one Look Up per keyword.
     """
 
     def __init__(
@@ -102,7 +95,6 @@ class SocialListener:
         lookup: LookupEngine,
         sentiment: SentimentAnalyzer | None = None,
         max_perturbations: int = 25,
-        batch_engine: "BatchEngine | None" = None,
     ) -> None:
         if max_perturbations < 0:
             raise PlatformError(
@@ -112,7 +104,6 @@ class SocialListener:
         self.lookup = lookup
         self.sentiment = sentiment if sentiment is not None else SentimentAnalyzer()
         self.max_perturbations = max_perturbations
-        self.batch_engine = batch_engine
 
     # ------------------------------------------------------------------ #
     def expand_keyword(self, keyword: str) -> tuple[str, ...]:
@@ -121,18 +112,9 @@ class SocialListener:
         return result.perturbation_tokens()[: self.max_perturbations]
 
     def expand_keywords(self, keywords: Sequence[str]) -> dict[str, tuple[str, ...]]:
-        """Expand a whole watch-list into per-keyword perturbations.
-
-        Served by the batch engine when one is attached (duplicate keywords
-        across the watch-list are looked up once); identical results to
-        calling :meth:`expand_keyword` per keyword either way.
-        """
-        if self.batch_engine is None:
-            return {keyword: self.expand_keyword(keyword) for keyword in keywords}
-        results = self.batch_engine.look_up_batch(list(keywords), case_sensitive=True)
+        """Expand a watch-list: one :meth:`expand_keyword` per distinct keyword."""
         return {
-            keyword: result.perturbation_tokens()[: self.max_perturbations]
-            for keyword, result in zip(keywords, results)
+            keyword: self.expand_keyword(keyword) for keyword in dict.fromkeys(keywords)
         }
 
     def _timeline_from_posts(
@@ -166,7 +148,7 @@ class SocialListener:
     ) -> KeywordUsage:
         """Build the full Social Listening report for one keyword.
 
-        ``perturbations`` lets :meth:`monitor_keywords` pass in a batch
+        ``perturbations`` lets :meth:`monitor_keywords` pass in the
         expansion it already computed for the whole watch-list.
         """
         if perturbations is None:
@@ -211,8 +193,8 @@ class SocialListener:
     ) -> dict[str, KeywordUsage]:
         """Monitor several keywords (the GUI's watch-list).
 
-        The whole watch-list is expanded in one batch Look Up before the
-        per-keyword platform searches run.
+        The whole watch-list is expanded before the per-keyword platform
+        searches run.
         """
         expansions = self.expand_keywords(keywords)
         return {
@@ -327,9 +309,6 @@ class MultiPlatformListener:
         Shared sentiment analyzer.
     max_perturbations:
         Per-keyword cap forwarded to each underlying listener.
-    batch_engine:
-        Optional shared batch engine forwarded to each underlying listener
-        (one batch expansion serves every platform).
     """
 
     def __init__(
@@ -338,7 +317,6 @@ class MultiPlatformListener:
         lookup: LookupEngine,
         sentiment: SentimentAnalyzer | None = None,
         max_perturbations: int = 25,
-        batch_engine: "BatchEngine | None" = None,
     ) -> None:
         if not platforms:
             raise PlatformError("at least one platform is required")
@@ -352,7 +330,6 @@ class MultiPlatformListener:
                 lookup=lookup,
                 sentiment=shared_sentiment,
                 max_perturbations=max_perturbations,
-                batch_engine=batch_engine,
             )
             for platform in platforms
         }

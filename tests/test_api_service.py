@@ -105,12 +105,30 @@ class TestLookupEndpoint:
         ("/v1/normalize", {"texts": "teh vacc1ne"}, "texts"),
         ("/v1/batch/normalize", {"texts": "teh vacc1ne"}, "texts"),
         ("/v1/perturb", {"texts": "the vaccine"}, "texts"),
+        ("/v1/lookup", {"queries": ["vaccine"], "max_edit_distance": False}, "max_edit_distance"),
+        ("/v1/lookup", {"queries": ["vaccine"], "phonetic_level": True}, "phonetic_level"),
+        ("/v1/lookup", {"queries": ["vaccine"], "phonetic_level": "1"}, "phonetic_level"),
+        ("/v1/lookup", {"queries": ["vaccine"], "case_sensitive": "no"}, "case_sensitive"),
+        ("/v1/lookup", {"queries": ["vaccine"], "case_sensitive": None}, "case_sensitive"),
+        ("/v1/lookup", {"queries": ["vaccine"], "use_transpositions": 1}, "use_transpositions"),
+        ("/v1/batch/lookup", {"queries": ["vaccine"], "max_edit_distance": False}, "max_edit_distance"),
+        ("/v1/batch/lookup", {"queries": ["vaccine"], "phonetic_level": True}, "phonetic_level"),
+        ("/v1/batch/lookup", {"queries": ["vaccine"], "case_sensitive": "no"}, "case_sensitive"),
+        ("/v1/batch/lookup", {"queries": ["vaccine"], "use_transpositions": 1}, "use_transpositions"),
+        ("/v1/perturb", {"texts": ["the vaccine"], "ratio": "0.5"}, "ratio"),
+        ("/v1/perturb", {"texts": ["the vaccine"], "ratio": [0.5]}, "ratio"),
+        ("/v1/perturb", {"texts": ["the vaccine"], "ratio": True}, "ratio"),
+        ("/v1/perturb", {"texts": ["the vaccine"], "case_sensitive": "no"}, "case_sensitive"),
     ],
     ids=[
         "lookup-string", "lookup-object", "lookup-number", "distance-string",
         "distance-negative", "distance-float", "batch-lookup-string",
         "batch-lookup-distance-negative", "normalize-string",
-        "batch-normalize-string", "perturb-string",
+        "batch-normalize-string", "perturb-string", "distance-bool", "level-bool",
+        "level-string", "case-string", "case-null", "transpositions-int",
+        "batch-lookup-distance-bool", "batch-lookup-level-bool",
+        "batch-lookup-case-string", "batch-lookup-transpositions-int",
+        "ratio-string", "ratio-list", "ratio-bool", "perturb-case-string",
     ],
 )
 def test_malformed_read_requests_are_400(service, token, path, payload, field):

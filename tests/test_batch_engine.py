@@ -2,13 +2,15 @@
 
 Covers the batch engine's dedup/memoization and streaming semantics, the
 facade wiring (including sound-scoped cache invalidation in ``learn_from``),
-the ``/v1/batch/*`` service endpoints, the CLI ``batch`` command, the batch
-paths of the social listener/crawler, and the tagged cache primitives.
+the ``/v1/batch/*`` service endpoints, the CLI ``batch`` command, the social
+listener's and crawler's agreement with the batch paths, and the tagged
+cache primitives.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -17,7 +19,7 @@ from repro.api import CrypTextService
 from repro.batch import BatchEngine
 from repro.cli import main as cli_main
 from repro.errors import CrypTextError
-from repro.social import SocialListener, SocialPlatform, StreamCrawler
+from repro.social import SocialPlatform, StreamCrawler
 from repro.storage import TTLCache
 
 
@@ -88,11 +90,6 @@ class TestBatchEngine:
         engine.look_up_batch(["vaccine"] * 50)
         assert cache.stats.sets == sets_before + 1
 
-    def test_look_up_many_is_dict_shaped(self, system, engine):
-        many = engine.look_up_many(["democrats", "amazon"])
-        assert set(many) == {"democrats", "amazon"}
-        assert many["amazon"] == system.look_up("amazon")
-
     def test_normalize_batch_identical_to_sequential(self, system, engine):
         batch = engine.normalize_batch(TEXTS)
         sequential = [system.normalize(text) for text in TEXTS]
@@ -115,8 +112,6 @@ class TestBatchEngine:
     def test_invalid_stream_knobs_rejected(self, system):
         with pytest.raises(CrypTextError):
             BatchEngine(system.dictionary, chunk_size=0)
-        with pytest.raises(CrypTextError):
-            BatchEngine(system.dictionary, max_in_flight=0)
 
     def test_stats_exposes_shards_and_caches(self, engine):
         engine.look_up_batch(["democrats"])
@@ -131,12 +126,12 @@ class TestBatchEngine:
 class TestStreaming:
     def test_stream_look_up_matches_batch(self, engine):
         queries = QUERIES * 7
-        streamed = list(engine.stream_look_up(iter(queries), chunk_size=4, max_in_flight=2))
+        streamed = list(engine.stream_look_up(iter(queries), chunk_size=4))
         assert streamed == engine.look_up_batch(queries)
 
     def test_stream_normalize_matches_batch(self, engine):
         texts = TEXTS * 5
-        streamed = list(engine.stream_normalize(iter(texts), chunk_size=3, max_in_flight=2))
+        streamed = list(engine.stream_normalize(iter(texts), chunk_size=3))
         assert streamed == engine.normalize_batch(texts)
 
     def test_stream_applies_backpressure(self, engine):
@@ -148,35 +143,45 @@ class TestStreaming:
                 pulled += 1
                 yield "democrats"
 
-        chunk_size, max_in_flight = 5, 2
-        stream = engine.stream_look_up(
-            producer(), chunk_size=chunk_size, max_in_flight=max_in_flight
-        )
+        chunk_size = 5
+        stream = engine.stream_look_up(producer(), chunk_size=chunk_size)
         next(stream)
-        # The producer may only ever be max_in_flight full chunks plus the
-        # chunk currently being assembled ahead of the consumer.
-        assert pulled <= chunk_size * (max_in_flight + 2)
+        # The first result needs exactly the first chunk: nothing is read
+        # ahead of the chunk the consumer is draining.
+        assert pulled == chunk_size
         stream.close()
+
+    @pytest.mark.parametrize(
+        "method, batch_method, items",
+        [
+            ("stream_look_up", "look_up_batch", QUERIES * 3),
+            ("stream_normalize", "normalize_batch", TEXTS * 3),
+        ],
+    )
+    def test_streams_resolve_chunks_on_the_calling_thread(
+        self, engine, monkeypatch, method, batch_method, items
+    ):
+        threads = []
+        resolve = getattr(engine, batch_method)
+
+        def recording(chunk, *args, **kwargs):
+            threads.append(threading.get_ident())
+            return resolve(chunk, *args, **kwargs)
+
+        monkeypatch.setattr(engine, batch_method, recording)
+        streamed = list(getattr(engine, method)(iter(items), chunk_size=4))
+        assert len(streamed) == len(items)
+        assert len(threads) == -(-len(items) // 4)
+        assert set(threads) == {threading.get_ident()}
 
     def test_stream_handles_empty_iterable(self, engine):
         assert list(engine.stream_look_up(iter(()))) == []
 
 
 class TestEnrichment:
-    def test_enrich_reports_scope(self, engine):
-        engine.look_up_batch(["democrats"])  # warm the caches
-        report = engine.enrich(["the demmocrats lie"], source="test")
-        assert report.added == 3
-        democrats = engine.dictionary.encoder(1).encode("democrats")
-        assert (1, democrats) in report.changed_sounds
-        assert report.to_dict() == {
-            "added": 3,
-            "num_changed_sounds": len(report.changed_sounds),
-        }
-
     def test_enrich_makes_new_perturbations_visible(self, engine):
         engine.look_up_batch(["democrats"])  # warm the caches
-        engine.enrich(["the demmocrats lie"])
+        engine.dictionary.add_corpus(["the demmocrats lie"])
         result = engine.look_up_batch(["democrats"])[0]
         assert "demmocrats" in result.tokens
 
@@ -189,7 +194,7 @@ class TestEnrichment:
         )
         engine = system.batch
         assert engine.normalize_batch(["vacc1ne"])[0].normalized_text == "vacc1ne"
-        engine.enrich(["the vaccine works"])
+        engine.dictionary.add_corpus(["the vaccine works"])
         assert engine.normalize_batch(["vacc1ne"])[0].normalized_text == "vaccine"
 
 
@@ -202,9 +207,9 @@ class TestFacade:
         assert system.normalize_batch(TEXTS) == system.batch.normalize_batch(TEXTS)
 
     def test_make_batch_engine_rebinds(self, system):
-        engine = system.make_batch_engine(chunk_size=7, max_in_flight=3)
+        engine = system.make_batch_engine(chunk_size=7)
         assert system.batch is engine
-        assert engine.chunk_size == 7 and engine.max_in_flight == 3
+        assert engine.chunk_size == 7
 
     def test_learn_from_invalidation_is_shard_scoped(self, system):
         cache = system.cache
@@ -334,22 +339,18 @@ class TestSocialBatchPaths:
         platform = SocialPlatform("twitter")
         for text in CORPUS:
             platform.ingest_raw(text, created_at="2023-01-16")
-        batch_listener = SocialListener(
-            platform, system.lookup_engine, batch_engine=system.batch
-        )
-        plain_listener = SocialListener(platform, system.lookup_engine)
-        keywords = ["democrats", "vaccine", "democrats"]
-        assert batch_listener.expand_keywords(keywords) == plain_listener.expand_keywords(
-            keywords
-        )
-        batch_usage = batch_listener.monitor_keywords(["democrats", "vaccine"])
-        plain_usage = plain_listener.monitor_keywords(["democrats", "vaccine"])
-        assert batch_usage == plain_usage
-
-    def test_facade_listener_uses_batch_engine(self, system):
-        platform = SocialPlatform("twitter")
         listener = system.social_listener(platform)
-        assert listener.batch_engine is system.batch
+        keywords = ["democrats", "vaccine", "democrats"]
+        expected = {keyword: listener.expand_keyword(keyword) for keyword in keywords}
+        assert listener.expand_keywords(keywords) == expected
+        batch = system.look_up_batch(keywords)
+        assert expected == {
+            keyword: result.perturbation_tokens()[: listener.max_perturbations]
+            for keyword, result in zip(keywords, batch)
+        }
+        assert listener.monitor_keywords(keywords) == {
+            keyword: listener.monitor_keyword(keyword) for keyword in keywords
+        }
 
     def test_crawler_with_batch_engine_keeps_lookups_fresh(self, system):
         platform = SocialPlatform("twitter")
@@ -357,22 +358,12 @@ class TestSocialBatchPaths:
             platform.ingest_raw(text, created_at="2023-01-16")
         engine = system.batch
         engine.look_up_batch(["democrats", "amazon"])  # warm
-        crawler = StreamCrawler(
-            platform, system.dictionary, batch_size=10, batch_engine=engine
-        )
+        crawler = StreamCrawler(platform, system.dictionary, batch_size=10)
         report = crawler.crawl_once()
         assert report is not None
-        assert report.tokens_seen == 6  # counted by BatchEngine.enrich
+        assert report.tokens_seen == 6  # counted by dictionary.add_corpus
         tokens = engine.look_up_batch(["democrats"])[0].tokens
         assert "demmocrats" in tokens
-
-    def test_crawler_rejects_foreign_engine(self, system):
-        other = CrypText.from_corpus(CORPUS)
-        platform = SocialPlatform("twitter")
-        with pytest.raises(Exception):
-            StreamCrawler(
-                platform, system.dictionary, batch_engine=other.batch
-            )
 
 
 # --------------------------------------------------------------------------- #

@@ -205,12 +205,7 @@ def test_normalize_batch_equals_sequential(system, texts):
 @given(
     queries=_QUERY_STRATEGY,
     chunk_size=st.integers(min_value=1, max_value=7),
-    max_in_flight=st.integers(min_value=1, max_value=3),
 )
-def test_stream_equals_batch_under_any_chunking(system, queries, chunk_size, max_in_flight):
-    streamed = list(
-        system.batch.stream_look_up(
-            iter(queries), chunk_size=chunk_size, max_in_flight=max_in_flight
-        )
-    )
+def test_stream_equals_batch_under_any_chunking(system, queries, chunk_size):
+    streamed = list(system.batch.stream_look_up(iter(queries), chunk_size=chunk_size))
     assert streamed == system.batch.look_up_batch(queries)

@@ -4,8 +4,8 @@ A system with every cache on (query cache, batch memo, compiled buckets)
 and an oracle built with ``cache_enabled=False`` —
 compiled buckets off too, so it reads the document store directly — receive
 the same writes through each write path: ``dictionary.add_token``,
-``learn_from``, ``batch.enrich``, and a :class:`StreamCrawler` that holds
-only the dictionary.  Every read path of the system — ``look_up``,
+``learn_from``, and a :class:`StreamCrawler` that holds only the dictionary
+(one ``dictionary.add_corpus`` write per round).  Every read path of the system — ``look_up``,
 ``look_up_batch``, ``normalize``, ``normalize_batch`` and the service routes
 ``/v1/lookup``, ``/v1/normalize`` and ``/v1/batch/lookup`` — must answer
 exactly what the oracle's sequential ``look_up`` / ``normalize`` answers,
@@ -59,7 +59,7 @@ NORMALIZE_PATHS = ("normalize", "normalize_batch", "/v1/normalize")
 
 WRITES = st.one_of(
     st.tuples(st.just("add_token"), st.sampled_from(TOKENS)),
-    st.tuples(st.sampled_from(("learn_from", "enrich", "crawler")), st.sampled_from(POSTS)),
+    st.tuples(st.sampled_from(("learn_from", "crawler")), st.sampled_from(POSTS)),
 )
 READS = st.one_of(
     st.tuples(
@@ -95,9 +95,6 @@ class Harness:
         elif path == "learn_from":
             self.system.learn_from([payload])
             self.oracle.learn_from([payload])
-        elif path == "enrich":
-            self.system.batch.enrich([payload])
-            self.oracle.dictionary.add_corpus([payload], source="stream")
         else:
             self.platform.ingest_raw(payload, created_at="2023-01-16")
             assert self.crawler.crawl_once() is not None

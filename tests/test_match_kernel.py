@@ -30,8 +30,6 @@ from repro.core.kernels import (
     KernelCounters,
     build_peq,
     myers_trie_match,
-    native_available,
-    native_distance,
     resolve_kernel,
 )
 from repro.core.matcher import CompiledBucket
@@ -283,20 +281,3 @@ class TestKernelCounters:
             "linear": 1,
         }
 
-
-class TestNativeFastPath:
-    def test_probe_is_opt_in(self):
-        # The cffi fast path never activates implicitly; without the env
-        # flag at import time the pure-Python kernels serve everything.
-        import os
-
-        if os.environ.get("CRYPTEXT_NATIVE") != "1":
-            assert not native_available()
-
-    @pytest.mark.skipif(not native_available(), reason="native kernel not compiled")
-    @settings(max_examples=200, deadline=None)
-    @given(queries, tokens, bounds)
-    def test_native_distance_equals_bounded_levenshtein(self, a, b, bound):
-        assert native_distance(a.lower(), b.lower(), bound) == bounded_levenshtein(
-            a.lower(), b.lower(), bound
-        )
