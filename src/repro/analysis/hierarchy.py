@@ -34,8 +34,8 @@ The declared order (outermost first), as established by PRs 1-7:
 6.  ``dictionary.write`` journals before applying: it wraps
     ``wal.segment`` (journal-before-apply), ``storage.collection``, the
     compiled-bucket LRU (the version bump and bucket drop of a write), and
-    — via the observer notifications inside ``learn_batch``'s reentrant
-    hold and during replay — every cache owner's ``storage.cache``.
+    — via the observer notification every write sends while holding it —
+    every cache owner's ``storage.cache``.
 7.  Leaf-side locks: the query cache, the compiled-bucket LRU, trie
     registry/family locks, the fault registry (hit from inside
     ``wal.segment``), and the per-replica breaker.

@@ -24,15 +24,25 @@ distinct raw token::
 Secondary indexes over ``keys.k0`` / ``keys.k1`` / ``keys.k2`` and ``token``
 make the Look Up hot path an index probe rather than a scan, mirroring the
 MongoDB indexes of the original system.
+
+Every write — one token, a text, a corpus, a crawler round, the lexicon
+seeding, a replayed journal record — goes through one batch write: the
+occurrences are merged per raw token (first-occurrence order, summed
+counts), each distinct token is canonicalized once for all levels, and the
+batch is applied under one ``dictionary.write`` hold with one journal
+record, one :attr:`~PerturbationDictionary.version` bump and one observer
+notification.  The documents come out exactly as if every occurrence had
+been added one at a time.  The dictionary reads its own documents through
+the collection's copy-free views (stored documents are replaced, never
+mutated), and copies only into the :class:`DictionaryEntry` it returns.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
 import weakref
 import zlib
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -40,7 +50,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Protocol, Sequenc
 
 from ..analysis.sanitizer import tracked_lock, tracked_rlock
 from ..config import CrypTextConfig, DEFAULT_CONFIG
-from ..errors import DictionaryError
+from ..errors import DictionaryError, EncodingError
 from ..obs.registry import OBS
 from ..storage import Collection, DocumentStore
 from ..text.tokenizer import Tokenizer
@@ -293,8 +303,9 @@ class PerturbationDictionary:
         for level in self._encoders:
             collection.create_index(f"keys.k{level}")
         collection.create_index("is_word")
-        # Serializes the find-then-insert/update sequence of add_token so
-        # concurrent writers (crawler threads) never lose count increments.
+        # Serializes whole batch writes (journal, update-or-insert, version
+        # bump) so concurrent writers (crawler threads) never lose count
+        # increments and journal order is apply order.
         self._write_lock = tracked_rlock("dictionary.write")
         # Bumped under the compiled lock in the same block that drops the
         # written buckets, so a reader that sees the new version can no
@@ -335,15 +346,10 @@ class PerturbationDictionary:
         # can bypass their invalidation, whatever path it took.
         self._observers: "weakref.WeakSet[ChangeObserver]" = weakref.WeakSet()
         # --- durability state (the WAL subsystem, repro.wal) ---
-        # Attached change log: every recorded add_token is journaled before
-        # it is acknowledged.  The replay guard keeps recovery from
-        # re-journaling the records it is reading.
+        # Attached change log: every recorded write is journaled before it
+        # is acknowledged.  Replay applies records without journaling them
+        # again (``_apply`` with no op).
         self._wal: "ChangeLog | None" = None
-        # Identity of the thread currently replaying WAL records (None
-        # otherwise).  Thread-scoped on purpose: during a live recovery,
-        # *other* threads' writes must still be journaled — only the
-        # replaying thread itself re-applies records that already exist.
-        self._wal_replaying_thread: int | None = None
         # Dirty sets since the last persisted snapshot (full or delta):
         # the (level, key) buckets an incremental save must re-serialize and
         # the raw tokens whose documents it must carry.  Maintained on the
@@ -370,7 +376,12 @@ class PerturbationDictionary:
 
     @property
     def version(self) -> int:
-        """Monotonic mutation counter; bumped on every recorded token."""
+        """Monotonic mutation counter; bumped once per write call.
+
+        A batch write (:meth:`add_corpus`, :meth:`seed_lexicon`, a replayed
+        journal record, ...) counts as one mutation however many tokens it
+        records; a write that records nothing leaves it unchanged.
+        """
         return self._version
 
     @property
@@ -409,14 +420,104 @@ class PerturbationDictionary:
                 f"(available: {sorted(self._encoders)})"
             ) from exc
 
-    def _keys_for(self, token: str) -> dict[str, str] | None:
-        keys: dict[str, str] = {}
-        for level, encoder in self._encoders.items():
-            code = encoder.encode_or_none(token)
-            if code is None:
-                return None
-            keys[f"k{level}"] = code
-        return keys
+    def _keys_for(self, token: str) -> tuple[str, dict[str, str]] | None:
+        """``token``'s canonical form and its key at every level.
+
+        Folds the token once and builds each level's key from that one
+        canonical form; ``None`` when the token has no phonetic content.
+        """
+        try:
+            canonical = self._encoders[min(self._encoders)].canonicalize(token)
+        except EncodingError:
+            return None
+        if not canonical:
+            return None
+        return canonical, {
+            f"k{level}": encoder.encode_canonical(canonical)
+            for level, encoder in self._encoders.items()
+        }
+
+    def _apply(
+        self,
+        counts: Mapping[str, int],
+        source: str | None,
+        op: str | None,
+        changed_keys: set[tuple[int, str]] | None = None,
+    ) -> tuple[int, int]:
+        """The one write path: record a batch of token occurrences.
+
+        ``counts`` maps each distinct raw token to its occurrences, in the
+        order the tokens were first seen, which is the order new documents
+        get their ``_id`` (hence bucket order).  Tokens without phonetic
+        content are dropped before anything is journaled; nothing is written
+        when none remain.  ``op`` names the journal record (``"add_token"``
+        for a single token, ``"learn_batch"`` otherwise); ``None`` applies a
+        record that is already journaled (replay).
+
+        The whole batch is one write: one ``dictionary.write`` hold, one
+        journal record, one :attr:`version` bump with one compiled-bucket
+        drop, and one observer notification carrying every touched
+        ``(level, key)`` pair (also added to ``changed_keys`` when given).
+        Returns ``(occurrences recorded, documents inserted)``.
+        """
+        encoded: list[tuple[str, int, str, dict[str, str]]] = []
+        for token, count in counts.items():
+            if count < 1:
+                raise DictionaryError(f"count must be >= 1, got {count}")
+            keyed = self._keys_for(token)
+            if keyed is not None:
+                encoded.append((token, count, *keyed))
+        if not encoded:
+            return 0, 0
+        collection = self.collection
+        pairs: set[tuple[int, str]] = set()
+        fresh: list[dict[str, object]] = []
+        with self._write_lock:
+            # Journal-before-apply, under the write lock: a write is
+            # acknowledged only once it is replayable, so a failed append
+            # (disk full, closed log) rejects the whole write instead of
+            # leaving a served-but-unjournaled document behind — and append
+            # order is exactly collection insertion order, which is what
+            # lets replay reassign the same auto ``_id``s (and thus the
+            # same bucket order) a crashed process had handed out.
+            if op is not None and self._wal is not None:
+                tokens = [[token, count] for token, count, _, _ in encoded]
+                payload: dict[str, object] = {"source": source, "tokens": tokens}
+                if op == "add_token":
+                    [[token, count]] = tokens
+                    payload = {"token": token, "source": source, "count": count}
+                self._wal.append(op, payload)
+            for token, count, canonical, keys in encoded:
+                update: dict[str, dict[str, object]] = {"$inc": {"count": count}}
+                if source:
+                    update["$addToSet"] = {"sources": source}
+                # False means no document holds this spelling yet.
+                if not collection.update_one({"token": token}, update):
+                    fresh.append(
+                        {
+                            "token": token,
+                            "canonical": canonical,
+                            "keys": keys,
+                            "count": count,
+                            "is_word": self.lexicon.is_word(token),
+                            "sources": [source] if source else [],
+                        }
+                    )
+                pairs.update((level, keys[f"k{level}"]) for level in self._encoders)
+            # The new documents are built here and never touched again, so
+            # the collection adopts them without a copy, in first-seen order.
+            collection.load_documents(fresh, copy=False)
+            self._dirty_pairs.update(pairs)
+            self._dirty_tokens.update(token for token, _, _, _ in encoded)
+            with self._compiled_lock:
+                self._version += 1
+                for pair in pairs:
+                    if self._compiled.pop(pair, None) is not None:
+                        self._compiled_invalidations += 1
+            self._notify_observers(pairs)
+        if changed_keys is not None:
+            changed_keys.update(pairs)
+        return sum(count for _, count, _, _ in encoded), len(fresh)
 
     def add_token(
         self,
@@ -426,6 +527,9 @@ class PerturbationDictionary:
         changed_keys: set[tuple[int, str]] | None = None,
     ) -> AddOutcome:
         """Record ``count`` occurrences of the raw token ``token``.
+
+        A one-token batch of the dictionary's single write path, journaled as
+        an ``add_token`` record.
 
         Returns an :class:`AddOutcome`: :attr:`~AddOutcome.INSERTED` for a
         first observation, :attr:`~AddOutcome.UPDATED` when an existing
@@ -439,116 +543,45 @@ class PerturbationDictionary:
         pairs whose buckets this write touched are added to it.  Every
         registered observer hears the same pairs once the write is applied.
         """
-        if count < 1:
-            raise DictionaryError(f"count must be >= 1, got {count}")
-        keys = self._keys_for(token)
-        if keys is None:
+        recorded, inserted = self._apply({token: count}, source, "add_token", changed_keys)
+        if not recorded:
             return AddOutcome.SKIPPED
-        collection = self.collection
-        with self._write_lock:
-            # Journal-before-apply, under the write lock: a write is
-            # acknowledged only once it is replayable, so a failed append
-            # (disk full, closed log) rejects the whole write instead of
-            # leaving a served-but-unjournaled document behind — and append
-            # order is exactly collection insertion order, which is what
-            # lets replay reassign the same auto ``_id``s (and thus the
-            # same bucket order) a crashed process had handed out.
-            if (
-                self._wal is not None
-                and self._wal_replaying_thread != threading.get_ident()
-            ):
-                self._wal.append(
-                    "add_token",
-                    {"token": token, "source": source, "count": count},
-                )
-            existing = collection.find_one({"token": token})
-            if existing is None:
-                canonical = self._encoders[min(self._encoders)].canonicalize(token)
-                document = {
-                    "token": token,
-                    "canonical": canonical,
-                    "keys": keys,
-                    "count": count,
-                    "is_word": self.lexicon.is_word(token),
-                    "sources": [source] if source else [],
-                }
-                collection.insert_one(document)
-                outcome = AddOutcome.INSERTED
-            else:
-                update: dict[str, dict[str, object]] = {"$inc": {"count": count}}
-                if source:
-                    update["$addToSet"] = {"sources": source}
-                collection.update_one({"token": token}, update)
-                outcome = AddOutcome.UPDATED
-            pairs = {(level, keys[f"k{level}"]) for level in self._encoders}
-            self._dirty_pairs.update(pairs)
-            self._dirty_tokens.add(token)
-            with self._compiled_lock:
-                self._version += 1
-                for pair in pairs:
-                    if self._compiled.pop(pair, None) is not None:
-                        self._compiled_invalidations += 1
-        if changed_keys is not None:
-            changed_keys.update(pairs)
-        self._notify_observers(pairs)
-        return outcome
+        return AddOutcome.INSERTED if inserted else AddOutcome.UPDATED
 
     def add_text(self, text: str, source: str | None = None) -> int:
-        """Tokenize ``text`` and add every word token; returns tokens added."""
-        added = 0
-        for token in self.tokenizer.word_tokens(text):
-            if self.add_token(token.text, source=source):
-                added += 1
-        return added
+        """Tokenize ``text`` and add every word token as one batch write.
+
+        Returns the number of word-token occurrences recorded (tokens with
+        no phonetic content are not counted).
+        """
+        return self.add_corpus((text,), source=source)
 
     def add_corpus(self, texts: Iterable[str], source: str | None = None) -> int:
-        """Add every text of ``texts``; returns total word tokens recorded."""
-        return sum(self.add_text(text, source=source) for text in texts)
+        """Add every word token of ``texts`` as one batch write.
+
+        The tokens of all texts are merged per raw spelling, in
+        first-occurrence order with summed counts, and applied under one
+        write-lock hold with one ``learn_batch`` journal record, one
+        :attr:`version` bump and one observer notification.  The resulting
+        documents — ``_id``\\ s, counts, sources, hence bucket order — are
+        exactly those of adding every occurrence with :meth:`add_token` in
+        text order.  Returns the number of word-token occurrences recorded.
+        """
+        counts = Counter(
+            token.text for text in texts for token in self.tokenizer.word_tokens(text)
+        )
+        return self._apply(counts, source, "learn_batch")[0]
 
     def learn_batch(self, texts: Iterable[str], source: str | None = None) -> int:
         """Record a whole enrichment round as one journaled mutation.
 
-        State-equivalent to :meth:`add_corpus` — tokens are merged in
-        first-occurrence order with accumulated counts, so document
-        insertion order (hence ``_id`` assignment and bucket order) and
-        final counts/sources come out identical — but an attached WAL
-        receives a single compound ``learn_batch`` record instead of one
-        frame per token occurrence, shrinking journal volume for
-        learn-heavy ingest by the batch width.  Returns the number of
-        token occurrences recorded (:meth:`add_corpus`'s return value).
+        The same write as :meth:`add_corpus`, under the name the enrichment
+        path (:meth:`~repro.core.pipeline.CrypText.learn_from`) calls: one
+        compound ``learn_batch`` WAL record per round instead of one frame
+        per token occurrence.  Returns the number of token occurrences
+        recorded.
         """
-        merged: dict[str, int] = {}
-        for text in texts:
-            for token in self.tokenizer.word_tokens(text):
-                if self._keys_for(token.text) is None:
-                    continue
-                merged[token.text] = merged.get(token.text, 0) + 1
-        if not merged:
-            return 0
-        recorded = 0
-        with self._write_lock:
-            if (
-                self._wal is not None
-                and self._wal_replaying_thread != threading.get_ident()
-            ):
-                self._wal.append(
-                    "learn_batch",
-                    {
-                        "source": source,
-                        "tokens": [list(item) for item in merged.items()],
-                    },
-                )
-            # The compound record is journaled; the per-token applies below
-            # must not journal themselves again.
-            previous = self._wal_replaying_thread
-            self._wal_replaying_thread = threading.get_ident()
-            try:
-                for token, count in merged.items():
-                    if self.add_token(token, source=source, count=count):
-                        recorded += count
-            finally:
-                self._wal_replaying_thread = previous
-        return recorded
+        return self.add_corpus(texts, source=source)
 
     def seed_lexicon(self, words: Iterable[str] | None = None) -> int:
         """Ensure canonical English words are present as dictionary entries.
@@ -556,16 +589,13 @@ class PerturbationDictionary:
         The Look Up function maps a query word to its Soundex bucket; if the
         canonical spelling itself was never observed in a corpus it must
         still exist in the bucket so Normalization has correction targets.
-        Returns the number of words actually *added* — re-seeding over a
-        dictionary that already contains a word only bumps its count
-        (:attr:`AddOutcome.UPDATED`) and is not counted.
+        All words (the whole lexicon by default) are applied as one batch
+        write with source ``"lexicon"``.  Returns the number of words
+        actually *added* — re-seeding over a dictionary that already
+        contains a word only bumps its count and is not counted.
         """
-        vocabulary = tuple(words) if words is not None else tuple(self.lexicon)
-        added = 0
-        for word in vocabulary:
-            if self.add_token(word, source="lexicon") is AddOutcome.INSERTED:
-                added += 1
-        return added
+        counts = Counter(self.lexicon if words is None else words)
+        return self._apply(counts, "lexicon", "learn_batch")[1]
 
     # ------------------------------------------------------------------ #
     # reads
@@ -576,14 +606,12 @@ class PerturbationDictionary:
     def __contains__(self, token: object) -> bool:
         if not isinstance(token, str):
             return False
-        return self.collection.find_one({"token": token}) is not None
+        return bool(self.collection.find_shared({"token": token}))
 
     def entry(self, token: str) -> DictionaryEntry | None:
         """Return the :class:`DictionaryEntry` for a raw token, if present."""
-        document = self.collection.find_one({"token": token})
-        if document is None:
-            return None
-        return self._to_entry(document)
+        documents = self.collection.find_shared({"token": token})
+        return self._to_entry(documents[0]) if documents else None
 
     def _to_entry(self, document: Mapping[str, object]) -> DictionaryEntry:
         return DictionaryEntry(
@@ -605,7 +633,7 @@ class PerturbationDictionary:
                 f"phonetic level {level} is not materialized "
                 f"(available: {sorted(self._encoders)})"
             )
-        documents = self.collection.find({f"keys.k{level}": key})
+        documents = self.collection.find_shared({f"keys.k{level}": key})
         return [self._to_entry(document) for document in documents]
 
     def compiled_bucket(
@@ -614,8 +642,8 @@ class PerturbationDictionary:
         """The sound bucket for ``key``, compiled for one-pass matching.
 
         Compiled buckets are cached per ``(phonetic_level, soundex_key)``
-        and invalidated incrementally: :meth:`add_token` drops exactly the
-        pairs its write touched, so the next Look Up over a changed bucket
+        and invalidated incrementally: every write drops exactly the
+        pairs it touched, so the next Look Up over a changed bucket
         recompiles from fresh ``tokens_for_key`` output while untouched
         buckets keep their tries warm.  The cache evicts least-recently-used
         — hits refresh recency, so the hot buckets of a skewed workload
@@ -787,13 +815,15 @@ class PerturbationDictionary:
         total_occurrences = 0
         lexicon_tokens = 0
         unique_keys: dict[int, set[str]] = {level: set() for level in self._encoders}
-        for document in self.collection:
+        for count, is_word, keys in self.collection.project_values(
+            ("count", "is_word", "keys")
+        ):
             total_tokens += 1
-            total_occurrences += int(document["count"])
-            if document["is_word"]:
+            total_occurrences += int(count)
+            if is_word:
                 lexicon_tokens += 1
             for level in self._encoders:
-                unique_keys[level].add(document["keys"][f"k{level}"])
+                unique_keys[level].add(keys[f"k{level}"])
         unique_key_counts = {level: len(keys) for level, keys in unique_keys.items()}
         tokens_per_key = {
             level: (total_tokens / count if count else 0.0)
@@ -874,7 +904,7 @@ class PerturbationDictionary:
         # captured documents, so it must stay past the recorded ``wal_seq``
         # for replay to find — the no-lost-writes invariant of recovery.
         with self._write_lock:
-            documents = self.collection.find(None)
+            documents = self.collection.find_shared(None)
             wal_seq = self._wal.last_seq if self._wal is not None else 0
             version = self._version
         _, grouped = self._grouped_documents(documents, wanted)
@@ -1103,7 +1133,7 @@ class PerturbationDictionary:
             # restored wholesale if the save fails.
             captured_pairs, self._dirty_pairs = self._dirty_pairs, set()
             captured_tokens, self._dirty_tokens = self._dirty_tokens, set()
-            documents = self.collection.find(
+            documents = self.collection.find_shared(
                 {"token": {"$in": sorted(captured_tokens)}}
             )
             bucket_entries = {
@@ -1407,37 +1437,25 @@ class PerturbationDictionary:
         """Apply one journaled mutation without re-journaling it.
 
         The shared replay core of crash recovery and follower replication:
-        ``add_token`` and compound ``learn_batch`` records mutate the
-        dictionary with journaling suppressed (a replica consuming history
-        must not append it again), anything else returns ``False`` for the
-        caller to count as skipped.  Idempotence by sequence number is the
-        *caller's* contract — apply each record at most once, filtered by
-        ``seq`` against the last applied position.
+        an ``add_token`` or compound ``learn_batch`` record is applied as one
+        batch write with journaling suppressed (a replica consuming history
+        must not append it again), in the order the record lists its tokens,
+        so replay reassigns the ``_id``\\ s the original write handed out.
+        Anything else returns ``False`` for the caller to count as skipped.
+        Idempotence by sequence number is the *caller's* contract — apply
+        each record at most once, filtered by ``seq`` against the last
+        applied position.
         """
+        source = record.payload.get("source")
+        counts: dict[str, int] = {}
         if record.op == "add_token":
-            ops = [
-                (
-                    str(record.payload["token"]),
-                    record.payload.get("source"),
-                    int(record.payload.get("count", 1)),
-                )
-            ]
+            counts[str(record.payload["token"])] = int(record.payload.get("count", 1))
         elif record.op == "learn_batch":
-            source = record.payload.get("source")
-            ops = [
-                (str(token), source, int(count))
-                for token, count in record.payload.get("tokens", ())
-            ]
+            for token, count in record.payload.get("tokens", ()):
+                counts[str(token)] = counts.get(str(token), 0) + int(count)
         else:
             return False
-        with self._write_lock:
-            previous = self._wal_replaying_thread
-            self._wal_replaying_thread = threading.get_ident()
-            try:
-                for token, source, count in ops:
-                    self.add_token(token, source=source, count=count)
-            finally:
-                self._wal_replaying_thread = previous
+        self._apply(counts, source, None)
         return True
 
     def dirty_state(self) -> dict[str, int]:

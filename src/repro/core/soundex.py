@@ -177,6 +177,14 @@ class CustomSoundex:
     def encode(self, token: str) -> str:
         """Encode ``token`` at this encoder's phonetic level.
 
+        The two halves are public: :meth:`canonicalize` folds the raw token,
+        and :meth:`encode_canonical` builds the key from that folded form.
+        The canonical form does not depend on the phonetic level, so a caller
+        needing every level's key (the dictionary's write path) folds once
+        and calls :meth:`encode_canonical` per level.  Raises
+        :class:`~repro.errors.EncodingError` for a non-string, blank, or
+        letterless token.
+
         >>> CustomSoundex(phonetic_level=1).encode("the")
         'TH000'
         >>> CustomSoundex(phonetic_level=1).encode("dirty")
@@ -190,6 +198,14 @@ class CustomSoundex:
             raise EncodingError(
                 f"token {token!r} has no phonetic content after canonicalization"
             )
+        return self.encode_canonical(canonical)
+
+    def encode_canonical(self, canonical: str) -> str:
+        """The key of a non-empty :meth:`canonicalize` result at this level.
+
+        >>> CustomSoundex(phonetic_level=1).encode_canonical("dirty")
+        'DI630'
+        """
         prefix_length = min(self.phonetic_level + 1, len(canonical))
         prefix = canonical[:prefix_length].upper()
         remainder = canonical[prefix_length:]

@@ -92,20 +92,25 @@ class NgramLanguageModel:
         ]
 
     def fit(self, sentences: Iterable[Iterable[str]]) -> "NgramLanguageModel":
-        """Train on an iterable of tokenized sentences."""
+        """Train on an iterable of tokenized sentences.
+
+        Counts every n-gram of each padded sentence except those made of
+        padding alone: an order-``n`` gram starting before position
+        ``order - n`` lies inside the ``order - 1`` leading
+        :data:`SENTENCE_START` symbols, so counting starts there.
+        """
         corpus = [list(sentence) for sentence in sentences]
         if self.vocabulary is None:
             self.vocabulary = Vocabulary().fit(corpus)
         for sentence in corpus:
             tokens = self._prepare(sentence)
             for ngram_order in range(1, self.order + 1):
-                for start in range(len(tokens) - ngram_order + 1):
-                    gram = tuple(tokens[start : start + ngram_order])
-                    # Skip n-grams that are purely padding.
-                    if all(token == SENTENCE_START for token in gram):
-                        continue
-                    self._ngram_counts[ngram_order][gram] += 1
-                    self._context_counts[ngram_order][gram[:-1]] += 1
+                first = self.order - ngram_order
+                grams = list(
+                    zip(*(tokens[first + shift :] for shift in range(ngram_order)))
+                )
+                self._ngram_counts[ngram_order].update(grams)
+                self._context_counts[ngram_order].update([gram[:-1] for gram in grams])
         self._trained = True
         return self
 

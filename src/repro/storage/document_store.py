@@ -30,6 +30,11 @@ from .index import HashIndex
 from .query import compile_filter
 
 
+def _id_order(document: Mapping[str, Any]) -> str:
+    """Sort key of the default document order (``str(_id)``)."""
+    return str(document.get("_id"))
+
+
 def _locked(method):
     """Run ``method`` while holding the collection's reentrant lock."""
 
@@ -44,9 +49,17 @@ def _locked(method):
 class Collection:
     """A named collection of documents.
 
-    Documents are stored as deep copies so callers cannot mutate the store's
-    internal state by accident, mirroring the value semantics of a real
-    database client.
+    Value semantics, as with a real database client: ``insert_one`` and
+    ``replace_one`` store deep copies, and ``find``/``get``/iteration
+    return them, so callers cannot mutate the store's state by accident.
+
+    Stored documents are never mutated in place: every write replaces a
+    document wholesale.  :meth:`update_one` builds the new version from a
+    shallow copy of the stored one and deep-copies only the values it
+    writes, so old and new versions share their untouched values.  That
+    invariant is what lets :meth:`find_shared`, :meth:`project_values` and
+    ``load_documents(copy=False)`` share documents without copying, and
+    iteration copy them outside the lock.
 
     A reentrant lock serializes every read and write: the batch engine runs
     Look Up retrieval from worker threads while the crawler concurrently
@@ -136,7 +149,8 @@ class Collection:
         index update per document, and with ``copy=False`` the documents are
         adopted by reference — only valid when the caller hands over
         ownership (freshly parsed JSON it will never touch again), which is
-        exactly what the JSONL loader and the snapshot loader do.  Duplicate
+        exactly what the JSONL loader and the snapshot loader do, and the
+        dictionary's batch write for the documents it builds.  Duplicate
         ``_id``\\ s raise :class:`~repro.errors.DuplicateKeyError` exactly
         like :meth:`insert_one`.
         """
@@ -181,47 +195,56 @@ class Collection:
         update: Mapping[str, Any],
         upsert: bool = False,
     ) -> bool:
-        """Apply a ``$set`` / ``$inc`` / ``$addToSet`` update to one document.
+        """Apply a ``$set`` / ``$inc`` / ``$addToSet`` / ``$push`` update to one document.
 
-        Returns ``True`` if a document was modified (or upserted).
+        Updates the first match in ``str(_id)`` order.  Returns ``True`` if a
+        document was modified (or upserted), ``False`` when nothing matched
+        and ``upsert`` is off.
+
+        The new version is a shallow copy of the stored document: the values
+        the update writes are deep-copied in (``$addToSet``/``$push`` build a
+        new list), and every other value is shared with the previous
+        version, which stays unchanged for anyone still reading it.
         """
         allowed = {"$set", "$inc", "$addToSet", "$push"}
         unknown = set(update) - allowed
         if unknown:
             raise QueryError(f"unsupported update operators: {sorted(unknown)}")
-        target = self.find_one(filter_document)
-        if target is None:
+        matches = self._matches(filter_document)
+        if not matches:
             if not upsert:
                 return False
-            seed: dict[str, Any] = {}
+            document: dict[str, Any] = {}
             if filter_document:
                 for key, value in filter_document.items():
                     if not key.startswith("$") and not isinstance(value, Mapping):
-                        seed[key] = value
-            document = seed
+                        document[key] = value
             doc_id = None
         else:
-            doc_id = target["_id"]
-            document = target
+            document = dict(min(matches, key=_id_order))
+            doc_id = document["_id"]
 
         for key, value in update.get("$set", {}).items():
-            document[key] = value
+            document[key] = _deepcopy(value)
         for key, value in update.get("$inc", {}).items():
             document[key] = document.get(key, 0) + value
         for key, value in update.get("$addToSet", {}).items():
             existing = list(document.get(key, []))
             if value not in existing:
-                existing.append(value)
+                existing.append(_deepcopy(value))
             document[key] = existing
         for key, value in update.get("$push", {}).items():
             existing = list(document.get(key, []))
-            existing.append(value)
+            existing.append(_deepcopy(value))
             document[key] = existing
 
         if doc_id is None:
             self.insert_one(document)
-        else:
-            self.replace_one(doc_id, document)
+            return True
+        document["_id"] = doc_id
+        self._documents[doc_id] = document
+        for index in self._indexes.values():
+            index.add(doc_id, document)
         return True
 
     @_locked
@@ -279,6 +302,22 @@ class Collection:
             return index.lookup(condition)
         return None
 
+    def _matches(
+        self, filter_document: Mapping[str, Any] | None
+    ) -> list[dict[str, Any]]:
+        """Stored documents matching the filter, unordered (lock held)."""
+        predicate = compile_filter(filter_document)
+        candidate_ids = self._candidate_ids(filter_document)
+        if candidate_ids is None:
+            candidates: Iterable[dict[str, Any]] = self._documents.values()
+        else:
+            candidates = (
+                self._documents[doc_id]
+                for doc_id in candidate_ids
+                if doc_id in self._documents
+            )
+        return [doc for doc in candidates if predicate(doc)]
+
     @_locked
     def find(
         self,
@@ -295,7 +334,8 @@ class Collection:
         filter_document:
             Mongo-style filter (``None`` matches everything).
         sort:
-            Field name to sort by (missing values sort first).
+            Field name to sort by (missing values sort first).  Without one,
+            documents come in ``str(_id)`` order.
         reverse:
             Sort descending.
         limit:
@@ -303,24 +343,14 @@ class Collection:
         projection:
             If given, keep only these fields (``_id`` is always kept).
         """
-        predicate = compile_filter(filter_document)
-        candidate_ids = self._candidate_ids(filter_document)
-        if candidate_ids is None:
-            candidates: Iterable[dict[str, Any]] = self._documents.values()
-        else:
-            candidates = (
-                self._documents[doc_id]
-                for doc_id in candidate_ids
-                if doc_id in self._documents
-            )
-        matched = [copy.deepcopy(doc) for doc in candidates if predicate(doc)]
+        matched = self._matches(filter_document)
         if sort is not None:
             matched.sort(
                 key=lambda doc: (doc.get(sort) is not None, doc.get(sort)),
                 reverse=reverse,
             )
         else:
-            matched.sort(key=lambda doc: str(doc.get("_id")))
+            matched.sort(key=_id_order)
         if limit is not None:
             matched = matched[:limit]
         if projection is not None:
@@ -329,6 +359,22 @@ class Collection:
                 {key: value for key, value in doc.items() if key in keep}
                 for doc in matched
             ]
+        return [copy.deepcopy(doc) for doc in matched]
+
+    @_locked
+    def find_shared(
+        self, filter_document: Mapping[str, Any] | None = None
+    ) -> list[dict[str, Any]]:
+        """The stored documents matching the filter, in ``str(_id)`` order.
+
+        :meth:`find` without the deep copies, for callers that only read:
+        the returned dicts *are* the stored versions, and must never be
+        mutated.  Because every write replaces a stored document instead of
+        changing it, each returned document stays a consistent view of its
+        version after the lock is released.
+        """
+        matched = self._matches(filter_document)
+        matched.sort(key=_id_order)
         return matched
 
     def find_one(
@@ -352,11 +398,12 @@ class Collection:
         """Top-level field values of every document, without deep copies.
 
         One tuple per document (missing fields yield ``None``), in
-        arbitrary order.  Only the *values* are shared with storage — safe
-        for scalar fields (strings, numbers, booleans), which is exactly
-        what the dictionary's content fingerprint reads on every
-        incremental save; deep-copying 10k documents just to hash three
-        scalar fields was the dominant cost of a small delta.
+        arbitrary order.  The values are shared with storage: scalars are
+        safe to keep, and a container value (a nested dict or list) must
+        only be read, like a :meth:`find_shared` result.  The dictionary's
+        content fingerprint and statistics read through this; deep-copying
+        10k documents just to hash three scalar fields was the dominant
+        cost of a small delta.
         """
         return [
             tuple(document.get(field) for field in fields)
@@ -368,15 +415,7 @@ class Collection:
         """Count matching documents."""
         if not filter_document:
             return len(self._documents)
-        predicate = compile_filter(filter_document)
-        candidate_ids = self._candidate_ids(filter_document)
-        if candidate_ids is None:
-            return sum(1 for doc in self._documents.values() if predicate(doc))
-        return sum(
-            1
-            for doc_id in candidate_ids
-            if doc_id in self._documents and predicate(self._documents[doc_id])
-        )
+        return len(self._matches(filter_document))
 
     @_locked
     def distinct(

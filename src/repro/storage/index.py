@@ -81,10 +81,17 @@ class HashIndex:
         return (_freeze(current),)
 
     def add(self, doc_id: Any, document: Mapping[str, Any]) -> None:
-        """Index ``document`` under ``doc_id`` (replacing any prior entry)."""
-        if doc_id in self._entries:
-            self.remove(doc_id)
+        """Index ``document`` under ``doc_id`` (replacing any prior entry).
+
+        Returns early when the document's indexed value has not changed,
+        the common case for an update that writes other fields.
+        """
         keys = self._extract(document)
+        previous = self._entries.get(doc_id)
+        if previous is not None:
+            if previous == keys:
+                return
+            self.remove(doc_id)
         for key in keys:
             self._buckets[key].add(doc_id)
         self._entries[doc_id] = keys

@@ -1,10 +1,12 @@
 """Segmented append-only change log (WAL) for dictionary mutations.
 
-Every recorded mutation of the perturbation dictionary — ``add_token``
-directly, or anything built on it (``add_text`` / ``add_corpus`` /
-``learn_from`` / crawler enrichment / lexicon seeding) — is journaled here
+Every recorded mutation of the perturbation dictionary is journaled here
 before the write is acknowledged, so a process killed mid-ingest can replay
-exactly the tail of mutations its last snapshot missed.
+exactly the tail of mutations its last snapshot missed.  ``add_token``
+writes one ``add_token`` record; every batch write (``add_text`` /
+``add_corpus`` / ``learn_from`` / crawler enrichment / lexicon seeding)
+writes one compound ``learn_batch`` record listing its tokens in
+first-occurrence order with their counts.
 
 On-disk layout
 --------------

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import CrypTextConfig
 from repro.core.dictionary import AddOutcome, PerturbationDictionary
 from repro.errors import DictionaryError
+from repro.wal import ChangeLog, wal_directory_for
 from tests.conftest import TABLE1_SENTENCES
 
 
@@ -226,3 +231,146 @@ class TestStats:
 
     def test_iter_entries_matches_len(self, table1_dictionary):
         assert len(list(table1_dictionary.iter_entries())) == len(table1_dictionary)
+
+
+# Spellings that exercise every branch of the write path: repeats, case,
+# leet, accents, a zero-width space, and tokens with no phonetic content.
+_SPELLINGS = (
+    "the", "The", "THE", "thee", "vaccine", "Vacc1ne", "v@ccine", "vaccíne",
+    "vac\u200bcine", "démocrats", "democrats", "demokrats", "mus-lim",
+    "dirrrty", "dirty", "???", "!!!", "...", "😀😀", "#", "42",
+)
+_TEXTS = st.one_of(
+    st.lists(st.sampled_from(_SPELLINGS), max_size=8).map(" ".join),
+    st.text(max_size=12),
+)
+_BATCHES = st.lists(st.lists(_TEXTS, max_size=5), min_size=1, max_size=3)
+_SOURCES = st.sampled_from([None, "", "corpus", "stream"])
+_WRITES = ("add_corpus", "add_text", "learn_batch", "seed_lexicon")
+
+
+def _write(dictionary: PerturbationDictionary, method: str, batch, source) -> int:
+    """One batch through ``method``; the summed return value."""
+    if method == "add_text":
+        return sum(dictionary.add_text(text, source=source) for text in batch)
+    if method == "seed_lexicon":
+        return dictionary.seed_lexicon(batch)
+    return getattr(dictionary, method)(batch, source=source)
+
+
+def _reference(method: str, batches, source) -> tuple[PerturbationDictionary, list[int]]:
+    """The same writes as one ``add_token`` call per occurrence."""
+    reference = PerturbationDictionary()
+    returned = []
+    for batch in batches:
+        if method == "seed_lexicon":
+            outcomes = [reference.add_token(word, source="lexicon") for word in batch]
+            returned.append(outcomes.count(AddOutcome.INSERTED))
+            continue
+        outcomes = [
+            reference.add_token(token.text, source=source)
+            for text in batch
+            for token in reference.tokenizer.word_tokens(text)
+        ]
+        returned.append(sum(1 for outcome in outcomes if outcome))
+    return reference, returned
+
+
+def _assert_same_state(actual: PerturbationDictionary, expected: PerturbationDictionary):
+    # find() returns whole documents in _id order: _id, token, canonical,
+    # keys, count, is_word and sources (in order) must all agree.
+    assert actual.collection.find() == expected.collection.find()
+    assert actual.content_fingerprint() == expected.content_fingerprint()
+    for level in expected.phonetic_levels:
+        for key in expected.hashmap(phonetic_level=level):
+            assert actual.tokens_for_key(key, level) == expected.tokens_for_key(key, level)
+    actual_stats, expected_stats = actual.stats().to_dict(), expected.stats().to_dict()
+    actual_stats.pop("compiled_cache")
+    expected_stats.pop("compiled_cache")
+    assert actual_stats == expected_stats
+
+
+class TestBatchWriteEquivalence:
+    """Every batch write equals one ``add_token`` per token occurrence."""
+
+    @pytest.mark.parametrize("method", _WRITES)
+    @settings(max_examples=100, deadline=None)
+    @given(batches=_BATCHES, source=_SOURCES)
+    def test_batch_write_equals_per_occurrence_adds(self, method, batches, source):
+        reference, expected_returns = _reference(method, batches, source)
+        dictionary = PerturbationDictionary()
+        returns = [_write(dictionary, method, batch, source) for batch in batches]
+        assert returns == expected_returns
+        _assert_same_state(dictionary, reference)
+
+    @pytest.mark.parametrize("method", _WRITES)
+    @settings(max_examples=25, deadline=None)
+    @given(batches=_BATCHES, source=_SOURCES)
+    def test_journaled_batch_writes_recover_to_the_reference(self, method, batches, source):
+        reference, _ = _reference(method, batches, source)
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            victim = PerturbationDictionary()
+            victim.attach_wal(ChangeLog(wal_directory_for(work)))
+            for batch in batches:
+                _write(victim, method, batch, source)
+            victim.wal.close()
+            recovered = PerturbationDictionary()
+            recovered.recover(work)
+            recovered.wal.close()
+        _assert_same_state(recovered, reference)
+
+    def test_one_batch_is_one_record_one_version_and_one_notification(self, tmp_path):
+        class Recorder:
+            def __init__(self):
+                self.calls = []
+
+            def note_changes(self, changed_keys):
+                self.calls.append(set(changed_keys))
+
+        dictionary = PerturbationDictionary()
+        dictionary.attach_wal(ChangeLog(wal_directory_for(tmp_path)))
+        recorder = Recorder()
+        dictionary.register_observer(recorder)
+        recorded = dictionary.add_corpus(
+            ["the vacc1ne ??? the", "", "Vacc1ne the"], source="corpus"
+        )
+        assert recorded == 5
+        assert dictionary.version == 1
+        assert [record.op for record in dictionary.wal.iter_records()] == ["learn_batch"]
+        [record] = dictionary.wal.iter_records()
+        assert record.payload["tokens"] == [["the", 3], ["vacc1ne", 1], ["Vacc1ne", 1]]
+        expected = {
+            (level, dictionary.encoder(level).encode(token))
+            for level in dictionary.phonetic_levels
+            for token in ("the", "vacc1ne")
+        }
+        assert recorder.calls == [expected]
+        # A batch with nothing encodable writes nothing at all.
+        assert dictionary.add_corpus(["??? !!!", ""]) == 0
+        assert dictionary.version == 1
+        assert len(list(dictionary.wal.iter_records())) == 1
+        assert len(recorder.calls) == 1
+        # add_token stays a one-token write with its own record.
+        assert dictionary.add_token("vaccine", source="x") is AddOutcome.INSERTED
+        assert dictionary.version == 2
+        assert [record.op for record in dictionary.wal.iter_records()][-1] == "add_token"
+        dictionary.wal.close()
+
+    def test_per_token_journal_still_replays(self, tmp_path):
+        """A journal written one ``add_token`` record per occurrence (the
+        format before batch writes) recovers to the same dictionary."""
+        texts = ["the demokrats hate the vacc1ne", "The vaccine works"]
+        reference, _ = _reference("add_corpus", [texts], "corpus")
+        wal = ChangeLog(wal_directory_for(tmp_path))
+        for text in texts:
+            for token in reference.tokenizer.word_tokens(text):
+                wal.append(
+                    "add_token", {"token": token.text, "source": "corpus", "count": 1}
+                )
+        wal.close()
+        recovered = PerturbationDictionary()
+        report = recovered.recover(tmp_path)
+        assert report.replayed_records == 8
+        recovered.wal.close()
+        _assert_same_state(recovered, reference)

@@ -259,9 +259,9 @@ def compare_cold_and_recovered_systems(distances=(1, 3)) -> int:
         cold.dictionary.add_corpus(GOLDEN_BUILD_CORPUS, source="corpus")
         cold.dictionary.seed_lexicon()
 
-        # Streamed enrichment past the corpus: journaled as ONE compound
-        # learn_batch record per call, which replay must expand back into
-        # the identical per-token write order.
+        # Streamed enrichment past the corpus: like every corpus and lexicon
+        # write, journaled as ONE compound learn_batch record per call, which
+        # replay must apply in the identical token order.
         stream = ["completely fresh unrelated chatter flows here tonight"]
         cold.learn_from(stream, source="stream")
 
@@ -276,7 +276,9 @@ def compare_cold_and_recovered_systems(distances=(1, 3)) -> int:
         victim.dictionary.seed_lexicon()
         victim.learn_from(stream, source="stream")
         journaled_ops = [record.op for record in victim.dictionary.wal.iter_records()]
-        assert journaled_ops.count("learn_batch") == 1, journaled_ops
+        # Two corpus halves, the lexicon seeding and the stream: one record
+        # per batch write.
+        assert journaled_ops == ["learn_batch"] * 4, journaled_ops
 
         recovered = CrypText.empty(seed_lexicon=False)
         report = recovered.recover(work)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -15,6 +16,8 @@ from repro.lm import (
     UNK_TOKEN,
     Vocabulary,
 )
+from repro.text.tokenizer import Tokenizer
+from tests.test_golden_regression import GOLDEN_BUILD_CORPUS
 
 CORPUS = [
     "the democrats support the vaccine mandate".split(),
@@ -144,6 +147,30 @@ class TestNgramLanguageModel:
         with_right = model.score_in_context("vaccine", ["the"], ["mandate"])
         without_right = model.score_in_context("zebra", ["the"], ["mandate"])
         assert with_right > without_right
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_fit_counts_equal_the_per_gram_loop_on_the_golden_corpus(self, order):
+        tokenizer = Tokenizer(lowercase=True)
+        sentences = [
+            [token.text for token in tokenizer.word_tokens(text)]
+            for text in GOLDEN_BUILD_CORPUS
+        ]
+        for corpus in (sentences, [list(reversed(sentence)) for sentence in sentences]):
+            model = NgramLanguageModel(order=order).fit(corpus)
+            ngram_counts: dict[int, Counter] = defaultdict(Counter)
+            context_counts: dict[int, Counter] = defaultdict(Counter)
+            for sentence in corpus:
+                tokens = model._prepare(sentence)
+                for n in range(1, order + 1):
+                    for start in range(len(tokens) - n + 1):
+                        gram = tuple(tokens[start : start + n])
+                        if all(token == SENTENCE_START for token in gram):
+                            continue
+                        ngram_counts[n][gram] += 1
+                        context_counts[n][gram[:-1]] += 1
+            for n in range(1, order + 1):
+                assert model._ngram_counts[n] == ngram_counts[n]
+                assert model._context_counts[n] == context_counts[n]
 
 
 class TestCoherencyScorer:

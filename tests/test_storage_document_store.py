@@ -186,6 +186,68 @@ class TestUpdateDelete:
             tokens.replace_one("nope", {"token": "x"})
 
 
+class TestUpdateValueSemantics:
+    """``update_one`` replaces the stored version with a shallow copy."""
+
+    def test_documents_read_before_an_update_are_unchanged(self, tokens):
+        found = tokens.find_one({"token": "vaccine"})
+        iterated = next(doc for doc in tokens if doc["token"] == "vaccine")
+        [shared] = tokens.find_shared({"token": "vaccine"})
+        before = dict(shared)
+        tokens.update_one(
+            {"token": "vaccine"},
+            {"$inc": {"count": 1}, "$set": {"keys": {"k1": "VX000"}},
+             "$addToSet": {"sources": "a"}, "$push": {"log": "b"}},
+        )
+        for document in (found, iterated):
+            assert document["count"] == 7 and document["keys"] == {"k1": "VA250"}
+            assert "sources" not in document and "log" not in document
+        # The stored version a reader holds is never changed in place.
+        assert shared == before
+        [after] = tokens.find_shared({"token": "vaccine"})
+        assert after is not shared
+        assert after["count"] == 8 and after["sources"] == ["a"] and after["log"] == ["b"]
+
+    def test_arguments_mutated_after_the_call_do_not_reach_the_store(self, tokens):
+        value = {"k1": "VX000"}
+        member = ["x"]
+        pushed = {"n": 1}
+        tokens.update_one(
+            {"token": "vaccine"},
+            {"$set": {"keys": value}, "$addToSet": {"tags": member}, "$push": {"log": pushed}},
+        )
+        value["k1"] = "ZZ999"
+        member.append("y")
+        pushed["n"] = 2
+        stored = tokens.find_one({"token": "vaccine"})
+        assert stored["keys"] == {"k1": "VX000"}
+        assert stored["tags"] == [["x"]]
+        assert stored["log"] == [{"n": 1}]
+
+    def test_set_on_an_indexed_field_moves_the_document(self, tokens):
+        tokens.create_index("keys.k1")
+        tokens.create_index("token")
+        tokens.update_one({"token": "vacc1ne"}, {"$set": {"keys": {"k1": "DE52632"}}})
+        assert {doc["token"] for doc in tokens.find({"keys.k1": "VA250"})} == {"vaccine"}
+        assert {doc["token"] for doc in tokens.find({"keys.k1": "DE52632"})} == {
+            "democrats", "demokrats", "vacc1ne",
+        }
+        tokens.update_one({"token": "vacc1ne"}, {"$set": {"token": "vaxx"}})
+        assert tokens.find_one({"token": "vacc1ne"}) is None
+        assert tokens.find_one({"token": "vaxx"})["keys"] == {"k1": "DE52632"}
+
+    def test_update_of_an_unindexed_field_keeps_lookups_correct(self, tokens):
+        tokens.create_index("keys.k1")
+        tokens.create_index("token")
+        for _ in range(3):
+            tokens.update_one({"token": "vacc1ne"}, {"$inc": {"count": 1}})
+        assert {doc["token"] for doc in tokens.find({"keys.k1": "VA250"})} == {
+            "vaccine", "vacc1ne",
+        }
+        assert tokens.find_one({"token": "vacc1ne"})["count"] == 4
+        assert tokens.count({"keys.k1": "VA250"}) == 2
+
+
 class TestDocumentStore:
     def test_collections_are_created_lazily(self):
         store = DocumentStore("db")
