@@ -19,6 +19,7 @@ and the batch layer must tolerate that interleaving:
 
 from __future__ import annotations
 
+import sys
 import threading
 
 from repro import CrypText
@@ -260,6 +261,72 @@ class TestVersionGuard:
 
         assert engine.normalize_batch(["vacc1ne"])[0].normalized_text == "vaccine"
         assert system.normalize("vacc1ne").normalized_text == "vaccine"
+
+
+# --------------------------------------------------------------------------- #
+# the token store's reads vs writers and wholesale loads
+# --------------------------------------------------------------------------- #
+class TestStoreReadsUnderWrites:
+    def test_reads_race_writes_and_snapshot_installs(self):
+        """Dictionary reads racing writers and re-hydration stay consistent.
+
+        Bucket reads, Look Up and the full scans run while ``learn_from``
+        writers add fresh tokens and another thread keeps re-installing the
+        snapshot taken at the start.  No thread may raise, and no bucket
+        read may list a token twice.
+        """
+        system = CrypText.from_corpus(CORPUS, seed_lexicon=False, train_scorer=False)
+        dictionary = system.dictionary
+        snapshot = dictionary.build_snapshot()
+        keys = [
+            (level, key)
+            for level in dictionary.phonetic_levels
+            for key in dictionary.hashmap(phonetic_level=level)
+        ]
+
+        def writer(worker_id: int):
+            def run():
+                for i in range(100):
+                    system.learn_from(
+                        [f"the demmocrats{worker_id}x{i} fear the vaxine{i}"],
+                        source=f"w{worker_id}",
+                    )
+
+            return run
+
+        def loader():
+            for _ in range(50):
+                assert dictionary.hydrate_snapshot(snapshot).loaded
+
+        def bucket_reader():
+            for _ in range(100):
+                for level, key in keys:
+                    tokens = [
+                        entry.token
+                        for entry in dictionary.tokens_for_key(key, phonetic_level=level)
+                    ]
+                    assert len(tokens) == len(set(tokens)), (level, key, tokens)
+
+        def scanner():
+            for _ in range(50):
+                for query in WATCHED:
+                    system.look_up(query)
+                dictionary.stats()
+                dictionary.content_fingerprint()
+                list(dictionary.iter_entries())
+                dictionary.token_counts()
+                for level in dictionary.phonetic_levels:
+                    dictionary.hashmap(phonetic_level=level)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            errors = _run_threads(
+                [writer(0), writer(1), loader, bucket_reader, bucket_reader, scanner]
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
 
 
 # --------------------------------------------------------------------------- #
