@@ -56,7 +56,7 @@ from repro import CrypText
 from repro.config import CrypTextConfig
 from repro.core.dictionary import PerturbationDictionary
 from repro.core.lookup import LookupEngine
-from repro.storage import dump_collection, load_collection
+from repro.storage import iter_jsonl, write_jsonl
 from repro.storage.snapshot import resolve_snapshot
 
 RESULTS_PATH = Path(__file__).parent / "results" / "cold_start.json"
@@ -119,7 +119,7 @@ def compile_every_bucket(dictionary: PerturbationDictionary) -> int:
     compiled = 0
     for level in dictionary.phonetic_levels:
         keys = {
-            document["keys"][f"k{level}"] for document in dictionary.collection
+            document["keys"][f"k{level}"] for document in dictionary.documents()
         }
         for key in keys:
             bucket = dictionary.compiled_bucket(key, phonetic_level=level)
@@ -135,11 +135,11 @@ def measure(size: int, seed: int, work_dir: Path, queries: int = 300) -> dict:
     source = build_dictionary(size, seed, config)
     db_path = work_dir / f"tokens_{size}.jsonl"
     snapshot_path = work_dir / f"snapshot_{size}.json"
-    dump_collection(source.collection, db_path)
+    write_jsonl(db_path, source.documents())
     save_elapsed, save_report = _timed(lambda: source.save_snapshot(snapshot_path))
 
     cold = PerturbationDictionary(config=config)
-    load_elapsed, _ = _timed(lambda: load_collection(cold.collection, db_path))
+    load_elapsed, _ = _timed(lambda: cold.replace_documents(iter_jsonl(db_path)))
     compile_elapsed, buckets = _timed(lambda: compile_every_bucket(cold))
 
     # Two loads into fresh dictionaries; keep the faster one (first-touch

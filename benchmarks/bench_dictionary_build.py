@@ -76,7 +76,7 @@ def measure(posts: int, seed: int, repeats: int) -> dict[str, float]:
             seconds, built[build] = _timed(build, texts)
             times.append(seconds)
         batched, reference = built[build_batched], built[build_per_occurrence]
-        assert batched.collection.find() == reference.collection.find(), (
+        assert batched.documents() == reference.documents(), (
             "the batched build's documents differ from the per-occurrence build's"
         )
         assert batched.content_fingerprint() == reference.content_fingerprint()

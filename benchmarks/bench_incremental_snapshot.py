@@ -60,9 +60,7 @@ def _dirty_some_buckets(
     """Write near-variants of one stem until just under ``target_fraction``
     of the dictionary's buckets are dirty; returns (dirty, total) buckets."""
     level = dictionary.config.phonetic_level
-    total = len({
-        document["keys"][f"k{level}"] for document in dictionary.collection
-    })
+    total = len(dictionary.hashmap(phonetic_level=level))
     budget = max(1, int(total * target_fraction) - 1)
     rng = random.Random(seed)
     stem = STEMS[0]

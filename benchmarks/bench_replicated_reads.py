@@ -71,7 +71,7 @@ def _build_leader(size: int, seed: int, work_dir: Path) -> CrypText:
     built = build_dictionary(size, seed, config)
     leader.dictionary.attach_wal(ChangeLog(wal_directory_for(work_dir)))
     leader.dictionary.add_corpus(
-        (document["token"] for document in built.collection), source="bench"
+        (entry.token for entry in built.iter_entries()), source="bench"
     )
     leader.save_snapshot(work_dir / SNAPSHOT_FILE_NAME)
     return leader

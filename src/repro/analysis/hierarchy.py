@@ -32,10 +32,13 @@ The declared order (outermost first), as established by PRs 1-7:
     ``dictionary.write`` via ``apply_wal_record``.
 5.  ``dictionary.snapshot`` serializes saves and wraps ``dictionary.write``.
 6.  ``dictionary.write`` journals before applying: it wraps
-    ``wal.segment`` (journal-before-apply), ``storage.collection``, the
-    compiled-bucket LRU (the version bump and bucket drop of a write), and
-    — via the observer notification every write sends while holding it —
-    every cache owner's ``storage.cache``.
+    ``wal.segment`` (journal-before-apply), the compiled-bucket LRU (the
+    version bump and bucket drop of a write), and — via the observer
+    notification every write sends while holding it — every cache owner's
+    ``storage.cache``.  The dictionary's token store itself has no lock:
+    writes under ``dictionary.write`` replace its documents and bucket
+    tuples, and full scans copy its document table under the same hold.
+    ``storage.collection`` guards the social platform's post collections.
 7.  Leaf-side locks: the query cache, the compiled-bucket LRU, trie
     registry/family locks, the fault registry (hit from inside
     ``wal.segment``), and the per-replica breaker.

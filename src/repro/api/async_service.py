@@ -13,7 +13,8 @@ is.  :class:`AsyncCrypTextService` puts an event loop in front of it:
 * every other request — admin, snapshot and maintenance routes,
   ``listen``, ``stats``, ``metrics``, ``replication``, reads over the
   bound, and *every* request when a deadline is configured — is
-  dispatched to a **thread pool** (``config.reader_processes`` workers),
+  dispatched to a **thread pool** (``reader_threads`` workers, 4 by
+  default),
   so one slow normalization never blocks the accept loop or the other
   connections;
 * **read** endpoints (lookup / normalize and their batch variants) are
@@ -124,7 +125,7 @@ class AsyncCrypTextService:
         The sync handler layer.
     reader_threads:
         Thread-pool width for the pooled routes (everything but small
-        reads); defaults to ``config.reader_processes``.
+        reads).
     max_body_bytes:
         Per-request body cap; defaults to :data:`MAX_BODY_BYTES`.
         Constructor-injectable so the protocol-edge tests can exercise the
@@ -141,18 +142,13 @@ class AsyncCrypTextService:
     def __init__(
         self,
         service: CrypTextService,
-        reader_threads: int | None = None,
+        reader_threads: int = 4,
         max_body_bytes: int | None = None,
         request_deadline: float | None = None,
     ) -> None:
         self.service = service
-        workers = (
-            reader_threads
-            if reader_threads is not None
-            else service.cryptext.config.reader_processes
-        )
-        if workers < 1:
-            raise CrypTextError(f"reader_threads must be >= 1, got {workers!r}")
+        if reader_threads < 1:
+            raise CrypTextError(f"reader_threads must be >= 1, got {reader_threads!r}")
         self.max_body_bytes = (
             max_body_bytes if max_body_bytes is not None else MAX_BODY_BYTES
         )
@@ -170,7 +166,7 @@ class AsyncCrypTextService:
                 f"request_deadline must be positive, got {self.request_deadline!r}"
             )
         self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="cryptext-read"
+            max_workers=reader_threads, thread_name_prefix="cryptext-read"
         )
         self._server: asyncio.AbstractServer | None = None
 

@@ -30,10 +30,10 @@ from .core.pipeline import CrypText
 from .datasets import build_social_corpus, corpus_texts
 from .errors import CrypTextError, SnapshotError
 from .social import SocialListener, SocialPlatform
-from .storage import SNAPSHOT_FILE_NAME, dump_collection, load_collection
+from .storage import SNAPSHOT_FILE_NAME, iter_jsonl, write_jsonl
 from .viz import build_word_cloud
 
-#: File name used inside a ``--db`` directory for the token collection.
+#: File name used inside a ``--db`` directory for the token documents.
 DB_FILE_NAME = "tokens.jsonl"
 
 
@@ -73,7 +73,7 @@ def _build_system(args: argparse.Namespace, train_scorer: bool = True) -> CrypTe
             raise CrypTextError(
                 f"no dictionary found at {db_path}; run 'build --out {args.db}' first"
             )
-        load_collection(system.dictionary.collection, db_path)
+        system.dictionary.replace_documents(iter_jsonl(db_path))
         return system
     posts = build_social_corpus(num_posts=args.posts, seed=args.seed)
     return CrypText.from_corpus(corpus_texts(posts), train_scorer=train_scorer)
@@ -96,7 +96,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     system = CrypText.from_corpus(corpus_texts(posts), train_scorer=False)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = dump_collection(system.dictionary.collection, out_dir / DB_FILE_NAME)
+    written = write_jsonl(out_dir / DB_FILE_NAME, system.dictionary.documents())
     # A rebuild starts a fresh history: journal segments from the previous
     # life of this directory must not replay over the new dictionary (the
     # fresh snapshot records wal_seq=0).

@@ -143,11 +143,6 @@ class CrypTextConfig:
         caught up to the leader within this many seconds is excluded from
         read routing (the :class:`~repro.replication.ReplicaSet` falls back
         to fresher followers or the leader itself).
-    reader_processes:
-        Width of the async service front's thread pool.  The pool serves
-        only the pooled routes (admin, ``listen``, ``stats``, ``metrics``,
-        ``replication``, reads over the inline bound, and every request
-        when a deadline is set); small reads run on the event loop.
     degraded_read_policy:
         What replicated reads do when *no* follower is eligible (all stale,
         erroring, or circuit-open).  ``"leader"`` (the default) falls back
@@ -217,7 +212,6 @@ class CrypTextConfig:
     wal_superseded_retention: float | None = 604800.0
     replica_poll_interval: float = 0.5
     max_staleness_seconds: float = 5.0
-    reader_processes: int = 4
     degraded_read_policy: str = "leader"
     request_deadline_seconds: float | None = None
     retry_attempts: int = 3
@@ -312,11 +306,6 @@ class CrypTextConfig:
                 f"max_staleness_seconds must be positive, "
                 f"got {self.max_staleness_seconds!r}"
             )
-        if not isinstance(self.reader_processes, int) or self.reader_processes < 1:
-            raise ConfigurationError(
-                f"reader_processes must be a positive integer, "
-                f"got {self.reader_processes!r}"
-            )
         if self.degraded_read_policy not in DEGRADED_READ_POLICIES:
             raise ConfigurationError(
                 f"degraded_read_policy must be one of {DEGRADED_READ_POLICIES}, "
@@ -407,7 +396,6 @@ class CrypTextConfig:
             "wal_superseded_retention": self.wal_superseded_retention,
             "replica_poll_interval": self.replica_poll_interval,
             "max_staleness_seconds": self.max_staleness_seconds,
-            "reader_processes": self.reader_processes,
             "degraded_read_policy": self.degraded_read_policy,
             "request_deadline_seconds": self.request_deadline_seconds,
             "retry_attempts": self.retry_attempts,
@@ -453,7 +441,6 @@ class CrypTextConfig:
             "wal_superseded_retention",
             "replica_poll_interval",
             "max_staleness_seconds",
-            "reader_processes",
             "degraded_read_policy",
             "request_deadline_seconds",
             "retry_attempts",

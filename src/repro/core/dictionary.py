@@ -7,9 +7,8 @@ keys are Soundex encodings and whose values are the sets of raw,
 case-sensitive tokens sharing that encoding.  Table I of the paper shows a
 tiny ``H_1`` built from three sentences.
 
-:class:`PerturbationDictionary` implements that database on top of the
-embedded document store (:mod:`repro.storage`), keeping one document per
-distinct raw token::
+:class:`PerturbationDictionary` keeps those maps themselves: one document
+per distinct raw token, ::
 
     {
         "_id":        <auto>,
@@ -21,9 +20,9 @@ distinct raw token::
         "sources":    ["hatespeech", "twitter_stream"],
     }
 
-Secondary indexes over ``keys.k0`` / ``keys.k1`` / ``keys.k2`` and ``token``
-make the Look Up hot path an index probe rather than a scan, mirroring the
-MongoDB indexes of the original system.
+held in a ``token -> document`` dict, and per level a ``key -> tokens``
+map whose tuples list each bucket in ``str(_id)`` order, so a Look Up
+bucket read is two dict lookups.
 
 Every write — one token, a text, a corpus, a crawler round, the lexicon
 seeding, a replayed journal record — goes through one batch write: the
@@ -32,13 +31,15 @@ counts), each distinct token is canonicalized once for all levels, and the
 batch is applied under one ``dictionary.write`` hold with one journal
 record, one :attr:`~PerturbationDictionary.version` bump and one observer
 notification.  The documents come out exactly as if every occurrence had
-been added one at a time.  The dictionary reads its own documents through
-the collection's copy-free views (stored documents are replaced, never
-mutated), and copies only into the :class:`DictionaryEntry` it returns.
+been added one at a time.  Writes replace documents and bucket tuples
+instead of mutating them, so point reads need no lock, and the dictionary
+copies only into the :class:`DictionaryEntry` it returns.
 """
 
 from __future__ import annotations
 
+import bisect
+import copy
 import enum
 import weakref
 import zlib
@@ -52,7 +53,6 @@ from ..analysis.sanitizer import tracked_lock, tracked_rlock
 from ..config import CrypTextConfig, DEFAULT_CONFIG
 from ..errors import DictionaryError, EncodingError
 from ..obs.registry import OBS
-from ..storage import Collection, DocumentStore
 from ..text.tokenizer import Tokenizer
 from ..text.wordlist import EnglishLexicon, default_lexicon
 from .soundex import CustomSoundex
@@ -62,8 +62,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (matcher imports us)
     from ..wal.log import ChangeLog
     from .matcher import CompiledBucket, TrieFamily, TrieFamilyRegistry
 
-#: Name of the document-store collection backing the dictionary.
-TOKEN_COLLECTION = "tokens"
+def _id_order(document: Mapping[str, object]) -> str:
+    """Sort key of bucket order: ``str(_id)``, so ``"1" < "10" < "2"``."""
+    return str(document["_id"])
 
 
 class AddOutcome(enum.Enum):
@@ -272,9 +273,6 @@ class PerturbationDictionary:
 
     Parameters
     ----------
-    store:
-        Document store to keep the token collection in (a private store is
-        created when omitted).
     config:
         Library configuration; ``max_phonetic_level`` controls how many
         hash-maps ``H_k`` are materialized (the paper uses ``k <= 2``).
@@ -286,23 +284,28 @@ class PerturbationDictionary:
 
     def __init__(
         self,
-        store: DocumentStore | None = None,
         config: CrypTextConfig = DEFAULT_CONFIG,
         lexicon: EnglishLexicon | None = None,
     ) -> None:
         self.config = config
-        self.store = store if store is not None else DocumentStore("cryptext")
         self.lexicon = lexicon if lexicon is not None else default_lexicon()
         self.tokenizer = Tokenizer(lowercase=False)
         self._encoders: dict[int, CustomSoundex] = {
             level: CustomSoundex(phonetic_level=level)
             for level in range(config.max_phonetic_level + 1)
         }
-        collection = self.store.collection(TOKEN_COLLECTION)
-        collection.create_index("token")
-        for level in self._encoders:
-            collection.create_index(f"keys.k{level}")
-        collection.create_index("is_word")
+        # The token store: raw token -> document, and per level the H_k map
+        # from Soundex key to the bucket's tokens in str(_id) order (bucket
+        # order is ranking order: Look Up's case-insensitive merge keeps the
+        # earlier entry on a count tie, and trie payloads index entries by
+        # position).  Writers replace documents and bucket tuples under
+        # dictionary.write and never mutate them; a wholesale load publishes
+        # a new pair in one assignment.  So a point read takes one reference
+        # to the pair and no lock.
+        self._store: tuple[
+            dict[str, dict[str, object]], dict[int, dict[str, tuple[str, ...]]]
+        ] = ({}, {level: {} for level in self._encoders})
+        self._next_id = 1
         # Serializes whole batch writes (journal, update-or-insert, version
         # bump) so concurrent writers (crawler threads) never lose count
         # increments and journal order is apply order.
@@ -401,11 +404,6 @@ class PerturbationDictionary:
     # construction
     # ------------------------------------------------------------------ #
     @property
-    def collection(self) -> Collection:
-        """The underlying token collection."""
-        return self.store.collection(TOKEN_COLLECTION)
-
-    @property
     def phonetic_levels(self) -> tuple[int, ...]:
         """Phonetic levels for which hash-maps are materialized."""
         return tuple(sorted(self._encoders))
@@ -469,17 +467,16 @@ class PerturbationDictionary:
                 encoded.append((token, count, *keyed))
         if not encoded:
             return 0, 0
-        collection = self.collection
         pairs: set[tuple[int, str]] = set()
-        fresh: list[dict[str, object]] = []
+        inserted = 0
         with self._write_lock:
             # Journal-before-apply, under the write lock: a write is
             # acknowledged only once it is replayable, so a failed append
             # (disk full, closed log) rejects the whole write instead of
             # leaving a served-but-unjournaled document behind — and append
-            # order is exactly collection insertion order, which is what
-            # lets replay reassign the same auto ``_id``s (and thus the
-            # same bucket order) a crashed process had handed out.
+            # order is exactly ``_id`` order, which is what lets replay
+            # reassign the same ``_id``s (and thus the same bucket order) a
+            # crashed process had handed out.
             if op is not None and self._wal is not None:
                 tokens = [[token, count] for token, count, _, _ in encoded]
                 payload: dict[str, object] = {"source": source, "tokens": tokens}
@@ -487,26 +484,43 @@ class PerturbationDictionary:
                     [[token, count]] = tokens
                     payload = {"token": token, "source": source, "count": count}
                 self._wal.append(op, payload)
+            documents, buckets = self._store
             for token, count, canonical, keys in encoded:
-                update: dict[str, dict[str, object]] = {"$inc": {"count": count}}
-                if source:
-                    update["$addToSet"] = {"sources": source}
-                # False means no document holds this spelling yet.
-                if not collection.update_one({"token": token}, update):
-                    fresh.append(
-                        {
-                            "token": token,
-                            "canonical": canonical,
-                            "keys": keys,
-                            "count": count,
-                            "is_word": self.lexicon.is_word(token),
-                            "sources": [source] if source else [],
-                        }
-                    )
+                document = documents.get(token)
+                if document is not None:
+                    sources = document.get("sources", [])
+                    if source and source not in sources:
+                        sources = [*sources, source]
+                    documents[token] = {
+                        **document,
+                        "count": document["count"] + count,
+                        "sources": sources,
+                    }
+                else:
+                    # The document goes in before any bucket lists it, so a
+                    # concurrent bucket read always finds its documents.
+                    documents[token] = {
+                        "token": token,
+                        "canonical": canonical,
+                        "keys": keys,
+                        "count": count,
+                        "is_word": self.lexicon.is_word(token),
+                        "sources": [source] if source else [],
+                        "_id": self._next_id,
+                    }
+                    position = str(self._next_id)
+                    self._next_id += 1
+                    inserted += 1
+                    for level, level_buckets in buckets.items():
+                        key = keys[f"k{level}"]
+                        bucket = level_buckets.get(key, ())
+                        at = bisect.bisect(
+                            bucket,
+                            position,
+                            key=lambda member: str(documents[member]["_id"]),
+                        )
+                        level_buckets[key] = (*bucket[:at], token, *bucket[at:])
                 pairs.update((level, keys[f"k{level}"]) for level in self._encoders)
-            # The new documents are built here and never touched again, so
-            # the collection adopts them without a copy, in first-seen order.
-            collection.load_documents(fresh, copy=False)
             self._dirty_pairs.update(pairs)
             self._dirty_tokens.update(token for token, _, _, _ in encoded)
             with self._compiled_lock:
@@ -517,7 +531,7 @@ class PerturbationDictionary:
             self._notify_observers(pairs)
         if changed_keys is not None:
             changed_keys.update(pairs)
-        return sum(count for _, count, _, _ in encoded), len(fresh)
+        return sum(count for _, count, _, _ in encoded), inserted
 
     def add_token(
         self,
@@ -601,17 +615,15 @@ class PerturbationDictionary:
     # reads
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return len(self.collection)
+        return len(self._store[0])
 
     def __contains__(self, token: object) -> bool:
-        if not isinstance(token, str):
-            return False
-        return bool(self.collection.find_shared({"token": token}))
+        return isinstance(token, str) and token in self._store[0]
 
     def entry(self, token: str) -> DictionaryEntry | None:
         """Return the :class:`DictionaryEntry` for a raw token, if present."""
-        documents = self.collection.find_shared({"token": token})
-        return self._to_entry(documents[0]) if documents else None
+        document = self._store[0].get(token)
+        return self._to_entry(document) if document is not None else None
 
     def _to_entry(self, document: Mapping[str, object]) -> DictionaryEntry:
         return DictionaryEntry(
@@ -633,8 +645,9 @@ class PerturbationDictionary:
                 f"phonetic level {level} is not materialized "
                 f"(available: {sorted(self._encoders)})"
             )
-        documents = self.collection.find_shared({f"keys.k{level}": key})
-        return [self._to_entry(document) for document in documents]
+        documents, buckets = self._store
+        bucket = buckets[level].get(key, ())
+        return [self._to_entry(documents[token]) for token in bucket]
 
     def compiled_bucket(
         self, key: str, phonetic_level: int | None = None
@@ -689,8 +702,8 @@ class PerturbationDictionary:
         """Materialize the full hash-map ``H_k`` as ``{encoding: {tokens}}``.
 
         This reproduces the structure of Table I.  For large dictionaries
-        prefer :meth:`tokens_for_key`, which uses the index instead of
-        scanning.
+        prefer :meth:`tokens_for_key`, which reads one bucket instead of
+        copying them all.
         """
         level = self.config.phonetic_level if phonetic_level is None else phonetic_level
         if level not in self._encoders:
@@ -698,11 +711,9 @@ class PerturbationDictionary:
                 f"phonetic level {level} is not materialized "
                 f"(available: {sorted(self._encoders)})"
             )
-        mapping: dict[str, set[str]] = {}
-        for document in self.collection:
-            key = document["keys"][f"k{level}"]
-            mapping.setdefault(key, set()).add(document["token"])
-        return mapping
+        with self._write_lock:
+            buckets = list(self._store[1][level].items())
+        return {key: set(tokens) for key, tokens in buckets}
 
     def english_words_for_key(
         self, key: str, phonetic_level: int | None = None
@@ -714,16 +725,33 @@ class PerturbationDictionary:
             if entry.is_word
         ]
 
+    def _document_table(self) -> list[dict[str, object]]:
+        """Every stored document, copied out under ``dictionary.write``.
+
+        Full scans iterate this copy: iterating the live table while a
+        writer inserts a token would raise.
+        """
+        with self._write_lock:
+            return list(self._store[0].values())
+
+    def documents(self) -> list[dict[str, object]]:
+        """Copies of every token document, in ``str(_id)`` order.
+
+        What the CLI writes to ``tokens.jsonl``; :meth:`replace_documents`
+        loads it back.
+        """
+        return copy.deepcopy(sorted(self._document_table(), key=_id_order))
+
     def iter_entries(self) -> Iterator[DictionaryEntry]:
         """Iterate over every entry (arbitrary but deterministic order)."""
-        for document in self.collection:
+        for document in self._document_table():
             yield self._to_entry(document)
 
     def token_counts(self) -> dict[str, int]:
         """Mapping from raw token to its observed occurrence count."""
         return {
             str(document["token"]): int(document["count"])
-            for document in self.collection
+            for document in self._document_table()
         }
 
     # ------------------------------------------------------------------ #
@@ -764,25 +792,16 @@ class PerturbationDictionary:
             self._kernel_counters.note(kernel, count)
 
     @staticmethod
-    def _fingerprint_lines(lines: "list[str]") -> str:
+    def _documents_fingerprint(documents: Iterable[Mapping[str, object]]) -> str:
+        """CRC-32 (hex) over the trie-relevant fields of ``documents``."""
         digest = 0
-        lines.sort()
-        for line in lines:
+        for line in sorted(
+            f"{document['token']}\x00{document['canonical']}\x00{int(bool(document['is_word']))}"
+            for document in documents
+        ):
             digest = zlib.crc32(line.encode("utf-8"), digest)
             digest = zlib.crc32(b"\n", digest)
         return format(digest & 0xFFFFFFFF, "08x")
-
-    @classmethod
-    def _documents_fingerprint(
-        cls, documents: Iterable[Mapping[str, object]]
-    ) -> str:
-        """CRC-32 (hex) over the trie-relevant fields of ``documents``."""
-        return cls._fingerprint_lines(
-            [
-                f"{document['token']}\x00{document['canonical']}\x00{int(bool(document['is_word']))}"
-                for document in documents
-            ]
-        )
 
     def content_fingerprint(self) -> str:
         """CRC-32 (hex) over the trie-relevant content of the dictionary.
@@ -794,37 +813,18 @@ class PerturbationDictionary:
         loaders use it as the staleness guard: a snapshot whose recorded
         fingerprint differs from the live dictionary's must not install its
         tries.
-
-        Reads the three fields through the collection's copy-free
-        projection — this runs on every incremental save (it is the delta
-        chain's linkage value), where deep-copying the whole collection
-        would put an O(size) wall in front of an O(changes) operation.
         """
-        return self._fingerprint_lines(
-            [
-                f"{token}\x00{canonical}\x00{int(bool(is_word))}"
-                for token, canonical, is_word in self.collection.project_values(
-                    ("token", "canonical", "is_word")
-                )
-            ]
-        )
+        return self._documents_fingerprint(self._document_table())
 
     def stats(self) -> DictionaryStats:
         """Aggregate statistics (token counts, unique keys per level)."""
-        total_tokens = 0
-        total_occurrences = 0
-        lexicon_tokens = 0
-        unique_keys: dict[int, set[str]] = {level: set() for level in self._encoders}
-        for count, is_word, keys in self.collection.project_values(
-            ("count", "is_word", "keys")
-        ):
-            total_tokens += 1
-            total_occurrences += int(count)
-            if is_word:
-                lexicon_tokens += 1
-            for level in self._encoders:
-                unique_keys[level].add(keys[f"k{level}"])
-        unique_key_counts = {level: len(keys) for level, keys in unique_keys.items()}
+        with self._write_lock:
+            documents, buckets = self._store
+            table = list(documents.values())
+            unique_key_counts = {level: len(buckets[level]) for level in self._encoders}
+        total_tokens = len(table)
+        total_occurrences = sum(int(document["count"]) for document in table)
+        lexicon_tokens = sum(1 for document in table if document["is_word"])
         tokens_per_key = {
             level: (total_tokens / count if count else 0.0)
             for level, count in unique_key_counts.items()
@@ -856,19 +856,17 @@ class PerturbationDictionary:
 
     def _grouped_documents(
         self, documents: Sequence[Mapping[str, object]], levels: Sequence[int]
-    ) -> "tuple[list[DictionaryEntry], dict[tuple[int, str], list[DictionaryEntry]]]":
+    ) -> "dict[tuple[int, str], list[DictionaryEntry]]":
         """Entries (in ``documents`` order) grouped per ``(level, key)`` bucket.
 
         ``documents`` must already be in str(``_id``) order — the order
         ``tokens_for_key`` serves buckets in — so the grouped entry lists
         are exactly what a live query would retrieve.
         """
-        entries: list[DictionaryEntry] = []
         grouped: dict[tuple[int, str], list[DictionaryEntry]] = {}
         level_fields = [(level, f"k{level}") for level in levels]
         for document in documents:
             entry = self._to_entry(document)
-            entries.append(entry)
             keys = document.get("keys")
             if not isinstance(keys, dict):
                 continue
@@ -876,7 +874,7 @@ class PerturbationDictionary:
                 key = keys.get(field_name)
                 if key is not None:
                     grouped.setdefault((level, str(key)), []).append(entry)
-        return entries, grouped
+        return grouped
 
     def build_snapshot(
         self, levels: Sequence[int] | None = None
@@ -904,10 +902,11 @@ class PerturbationDictionary:
         # captured documents, so it must stay past the recorded ``wal_seq``
         # for replay to find — the no-lost-writes invariant of recovery.
         with self._write_lock:
-            documents = self.collection.find_shared(None)
+            documents = list(self._store[0].values())
             wal_seq = self._wal.last_seq if self._wal is not None else 0
             version = self._version
-        _, grouped = self._grouped_documents(documents, wanted)
+        documents.sort(key=_id_order)
+        grouped = self._grouped_documents(documents, wanted)
         families: list[TrieFamily] = []
         family_rows: dict[int, int] = {}
         buckets: list[tuple[int, str, int]] = []
@@ -923,7 +922,7 @@ class PerturbationDictionary:
             buckets.append((level, key, row))
         return Snapshot(
             dictionary_version=version,
-            # Fingerprint the captured documents, not the live collection: a
+            # Fingerprint the captured documents, not the live table: a
             # concurrent write between the capture above and here must not
             # produce a snapshot that can never pass its own staleness guard.
             fingerprint=self._documents_fingerprint(documents),
@@ -945,7 +944,7 @@ class PerturbationDictionary:
         incremental: bool = False,
         shards: "int | None" = None,
     ) -> SnapshotSaveReport:
-        """Persist the collection plus its compiled tries for warm starts.
+        """Persist the documents plus their compiled tries for warm starts.
 
         ``path`` defaults to ``config.snapshot_dir`` (raising
         :class:`DictionaryError` when neither is available).  Compilation
@@ -1133,15 +1132,18 @@ class PerturbationDictionary:
             # restored wholesale if the save fails.
             captured_pairs, self._dirty_pairs = self._dirty_pairs, set()
             captured_tokens, self._dirty_tokens = self._dirty_tokens, set()
-            documents = self.collection.find_shared(
-                {"token": {"$in": sorted(captured_tokens)}}
+            table = self._store[0]
+            documents = sorted(
+                (table[token] for token in captured_tokens if token in table),
+                key=_id_order,
             )
             bucket_entries = {
                 (level, key): self.tokens_for_key(key, phonetic_level=level)
                 for level, key in captured_pairs
             }
-            fingerprint = self.content_fingerprint()
+            captured = list(table.values())
         try:
+            fingerprint = self._documents_fingerprint(captured)
             # Trie compilation happens outside the write lock — a concurrent
             # writer only re-dirties a bucket, which the next delta re-saves.
             families: list[TrieFamily] = []
@@ -1217,7 +1219,7 @@ class PerturbationDictionary:
         path: "str | Path | None" = None,
         strict: bool = False,
     ) -> SnapshotLoadReport:
-        """Replace the collection from a snapshot and install its warm tries.
+        """Replace the documents from a snapshot and install its warm tries.
 
         The version guard and corruption handling:
 
@@ -1297,8 +1299,6 @@ class PerturbationDictionary:
             # Remembered even with no log attached yet: a later attach_wal
             # must still start past the installed chain's position.
             self._chain_wal_seq = max(self._chain_wal_seq, floor)
-            self._dirty_pairs.clear()
-            self._dirty_tokens.clear()
             if target.name != SNAPSHOT_FILE_NAME:
                 return
             if has_deltas or not usable_chain:
@@ -1309,10 +1309,73 @@ class PerturbationDictionary:
                 self._chain_fingerprint = snapshot.fingerprint
                 self._chain_deltas = 0
 
+    def _replace_store_locked(self, documents: Iterable[Mapping[str, object]]) -> int:
+        """Make ``documents`` the dictionary's whole state; returns the new version.
+
+        The one wholesale replace, behind snapshot installs, the pure-replay
+        reset of :meth:`recover` and :meth:`replace_documents`.  The documents
+        are adopted by reference with their ``_id``\\ s, every level's
+        buckets are grouped in one ``str(_id)``-ordered pass, and new tokens
+        continue numbering after the largest installed ``_id``.  The new
+        tables are published in one assignment, so a concurrent reader sees
+        the old state or the new one, never a mix.  Bumps :attr:`version`,
+        clears the compiled-bucket LRU and the dirty sets (the installed
+        state counts as persisted); the caller holds ``dictionary.write`` and
+        notifies the observers.
+        """
+        try:
+            ordered = sorted(documents, key=_id_order)
+            table = {str(document["token"]): document for document in ordered}
+            grouped: dict[int, dict[str, list[str]]] = {
+                level: {} for level in self._encoders
+            }
+            fields = [(f"k{level}", buckets) for level, buckets in grouped.items()]
+            for token, document in table.items():
+                keys = document["keys"]
+                for field_name, buckets in fields:
+                    key = keys.get(field_name)
+                    if key is not None:
+                        buckets.setdefault(key, []).append(token)
+            next_id = max((int(document["_id"]) for document in ordered), default=0) + 1
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise DictionaryError(f"malformed token document: {exc!r}") from exc
+        if len(table) != len(ordered):
+            raise DictionaryError("token documents repeat a token")
+        self._store = (
+            table,
+            {
+                level: {key: tuple(tokens) for key, tokens in level_buckets.items()}
+                for level, level_buckets in grouped.items()
+            },
+        )
+        self._next_id = next_id
+        self._dirty_pairs.clear()
+        self._dirty_tokens.clear()
+        with self._compiled_lock:
+            self._version += 1
+            self._compiled.clear()
+            return self._version
+
+    def replace_documents(self, documents: Iterable[Mapping[str, object]]) -> None:
+        """Replace the whole dictionary with ``documents`` (a ``tokens.jsonl`` load).
+
+        ``documents`` are :meth:`documents` output or its JSON round trip:
+        their ``_id``\\ s keep bucket order, and new tokens are numbered
+        after the largest one.  Nothing is journaled, every observer drops
+        its cache, and the next incremental save rewrites the snapshot in
+        full, since the new state continues no saved chain.  A document
+        without a ``token``, ``keys`` or integer ``_id``, or a token listed
+        twice, raises :class:`DictionaryError` and changes nothing.
+        """
+        with self._write_lock:
+            self._replace_store_locked(documents)
+            self._chain_fingerprint = None
+        self._notify_observers(None)
+
     def _install_snapshot(
         self, snapshot: "Snapshot", strict: bool = False
     ) -> SnapshotLoadReport:
-        """Replace the collection from an in-memory snapshot (see above).
+        """Replace all documents from an in-memory snapshot (see above).
 
         The file-less core of :meth:`load_snapshot`, shared with
         :meth:`recover` — which installs a snapshot merged from a base plus
@@ -1321,17 +1384,15 @@ class PerturbationDictionary:
         from ..errors import SnapshotError
         from .matcher import CompiledBucket
 
-        collection = self.collection
+        # One entry per document, shared by its buckets at every level, and
+        # built first so that a malformed document replaces nothing.
+        entries = {
+            str(document["token"]): self._to_entry(document)
+            for document in snapshot.documents
+        }
         with self._write_lock:
-            collection.clear()
-            # Adopt by reference: the parsed snapshot documents are owned by
-            # this load, and the store never mutates stored documents in
-            # place (updates replace them wholesale), so no copy is needed.
-            collection.load_documents(snapshot.documents, copy=False)
-            with self._compiled_lock:
-                self._version += 1
-                self._compiled.clear()
-                version = self._version
+            version = self._replace_store_locked(snapshot.documents)
+            buckets = self._store[1]
 
         try:
             families = self.adopt_snapshot_families(snapshot)
@@ -1347,11 +1408,6 @@ class PerturbationDictionary:
                 documents=len(snapshot.documents),
             )
 
-        # Snapshot documents were saved in find(None) — str(_id) — order,
-        # which load_documents preserved, so grouping them directly yields
-        # the exact bucket order a live query would retrieve.
-        ordered = sorted(snapshot.documents, key=lambda doc: str(doc.get("_id")))
-        _, grouped = self._grouped_documents(ordered, snapshot.levels)
         installed = 0
         with self._compiled_lock:
             for level, key, family_row in snapshot.buckets:
@@ -1359,15 +1415,17 @@ class PerturbationDictionary:
                 # by a pre-write hydrated bucket.
                 if installed >= self._compiled_max_entries or self._version != version:
                     break
-                bucket_entries = grouped.get((level, key), [])
+                tokens = buckets.get(level, {}).get(key, ())
                 family = families[family_row]
-                if tuple(entry.token for entry in bucket_entries) != family.tokens:
+                if tokens != family.tokens:
                     # A family whose token sequence does not spell the bucket
                     # (corrupt mapping) must not serve it; the bucket falls
-                    # back to lazy compilation instead.
+                    # back to lazy compilation instead.  A bucket a racing
+                    # write already grew lands here too (its new token is in
+                    # no snapshot family), ahead of the version check.
                     continue
                 self._compiled[(level, key)] = CompiledBucket(
-                    bucket_entries, family=family
+                    [entries[token] for token in tokens], family=family
                 )
                 installed += 1
         self._notify_observers(None)
@@ -1426,8 +1484,6 @@ class PerturbationDictionary:
         """
         with self._write_lock:
             report = self._install_snapshot(snapshot, strict=strict)
-            self._dirty_pairs.clear()
-            self._dirty_tokens.clear()
             self._chain_wal_seq = max(self._chain_wal_seq, snapshot.wal_seq)
             if self._wal is not None:
                 self._wal.ensure_seq_at_least(snapshot.wal_seq)
@@ -1466,22 +1522,6 @@ class PerturbationDictionary:
                 "dirty_tokens": len(self._dirty_tokens),
                 "chain_deltas": self._chain_deltas,
             }
-
-    def _clear_for_replay(self) -> None:
-        """Empty the dictionary so a WAL-only recovery starts from scratch.
-
-        The no-snapshot analogue of :meth:`_install_snapshot`'s wholesale
-        replacement: drops every document, compiled bucket, and dirty
-        marker, and tells every observer to clear its cache.
-        """
-        with self._write_lock:
-            self.collection.clear()
-            with self._compiled_lock:
-                self._version += 1
-                self._compiled.clear()
-            self._dirty_pairs.clear()
-            self._dirty_tokens.clear()
-        self._notify_observers(None)
 
     def _wal_directory(self, snapshot_dir: Path, wal_dir: "str | Path | None") -> Path:
         from ..wal.log import resolve_wal_directory
@@ -1600,14 +1640,13 @@ class PerturbationDictionary:
                 documents = report.documents
                 if report.reason:
                     degraded.append(report.reason)
-                self._dirty_pairs.clear()
-                self._dirty_tokens.clear()
             else:
                 # Pure-replay reconstruction: recovery *replaces* state.
                 # Replaying onto whatever the dictionary already holds (a
                 # seeded lexicon, or the live state on a second recover
                 # call) would double-apply every record.
-                self._clear_for_replay()
+                self._replace_store_locked(())
+                self._notify_observers(None)
             # Even with no usable log, a log attached later (after the
             # operator moves a corrupt directory aside) must start past
             # the installed snapshot's position.

@@ -23,8 +23,6 @@ from typing import Iterable, Sequence, TYPE_CHECKING
 from ..config import CrypTextConfig, DEFAULT_CONFIG
 from ..lm import CoherencyScorer
 from ..obs.registry import OBS
-from ..storage import DocumentStore
-from ..text.tokenizer import Tokenizer
 from ..text.wordlist import EnglishLexicon, default_lexicon
 from .dictionary import DictionaryStats, PerturbationDictionary
 from .lookup import LookupEngine, LookupResult
@@ -43,7 +41,8 @@ class CrypText:
     Most callers should use the :meth:`from_corpus` factory, which builds the
     dictionary, trains the coherency scorer, and seeds the English lexicon in
     one call.  The plain constructor accepts pre-built components for
-    advanced composition (e.g. sharing one document store across systems).
+    advanced composition (e.g. a dictionary recovered from disk, or a
+    scorer trained elsewhere).
     """
 
     def __init__(
@@ -77,7 +76,6 @@ class CrypText:
         texts: Sequence[str],
         config: CrypTextConfig = DEFAULT_CONFIG,
         lexicon: EnglishLexicon | None = None,
-        store: DocumentStore | None = None,
         source: str = "corpus",
         seed_lexicon: bool = True,
         train_scorer: bool = True,
@@ -93,8 +91,6 @@ class CrypText:
             Hyper-parameters; defaults mirror the paper (``k=1, d=3``).
         lexicon:
             English lexicon; the bundled one is used when omitted.
-        store:
-            Optional shared document store.
         source:
             Source label recorded on every dictionary entry.
         seed_lexicon:
@@ -105,15 +101,17 @@ class CrypText:
             context-aware normalization ranking).
         """
         lexicon = lexicon if lexicon is not None else default_lexicon()
-        dictionary = PerturbationDictionary(store=store, config=config, lexicon=lexicon)
+        dictionary = PerturbationDictionary(config=config, lexicon=lexicon)
         dictionary.add_corpus(texts, source=source)
         if seed_lexicon:
             dictionary.seed_lexicon()
         scorer: CoherencyScorer | None = None
         if train_scorer:
-            tokenizer = Tokenizer(lowercase=True)
+            # Lowered per token, not by the tokenizer: ``"İ".lower()`` is two
+            # characters, which no longer fits the token's span.
             tokenized = [
-                [token.text for token in tokenizer.word_tokens(text)] for text in texts
+                [token.text.lower() for token in dictionary.tokenizer.word_tokens(text)]
+                for text in texts
             ]
             tokenized = [sentence for sentence in tokenized if sentence]
             if tokenized:

@@ -56,7 +56,7 @@ class SocialPlatform:
     def __init__(self, name: str = "twitter", store: DocumentStore | None = None) -> None:
         self.name = name
         self.store = store if store is not None else DocumentStore(f"platform-{name}")
-        self._tokenizer = Tokenizer(lowercase=True)
+        self._tokenizer = Tokenizer()
         collection = self._collection
         collection.create_index("tokens", multi=True)
         collection.create_index("created_at")
@@ -68,6 +68,12 @@ class SocialPlatform:
 
     def __len__(self) -> int:
         return len(self._collection)
+
+    def _tokens(self, text: str) -> list[str]:
+        """The lowered word tokens that :meth:`search` matches against."""
+        # Lowered per token, not by the tokenizer: ``"İ".lower()`` is two
+        # characters, which no longer fits the token's span.
+        return [token.text.lower() for token in self._tokenizer.word_tokens(text)]
 
     # ------------------------------------------------------------------ #
     # ingestion
@@ -81,9 +87,7 @@ class SocialPlatform:
             if only_matching_platform and post.platform != self.name:
                 continue
             document = post.to_document()
-            document["tokens"] = [
-                token.text for token in self._tokenizer.word_tokens(post.text)
-            ]
+            document["tokens"] = self._tokens(post.text)
             self._collection.insert_one(document)
             stored += 1
         return stored
@@ -105,7 +109,7 @@ class SocialPlatform:
             "created_at": created_at,
             "text": text,
             "clean_text": text,
-            "tokens": [token.text for token in self._tokenizer.word_tokens(text)],
+            "tokens": self._tokens(text),
         }
         document.update(metadata)
         return int(self._collection.insert_one(document))

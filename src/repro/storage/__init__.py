@@ -25,6 +25,7 @@ from .persistence import (
     load_store,
     read_json,
     write_json_atomic,
+    write_jsonl,
     write_text_atomic,
 )
 from .snapshot import (
@@ -53,6 +54,7 @@ __all__ = [
     "load_store",
     "read_json",
     "write_json_atomic",
+    "write_jsonl",
     "write_text_atomic",
     "SNAPSHOT_FILE_NAME",
     "SNAPSHOT_FORMAT_VERSION",

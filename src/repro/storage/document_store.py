@@ -2,8 +2,10 @@
 
 CrypText stores every artifact — the token dictionary hash-maps, crawled
 posts, cached benchmark results — in MongoDB collections (paper §III-F).
-:class:`DocumentStore` reproduces the slice of that interface the system
-needs as an in-process, dependency-free engine:
+:class:`DocumentStore` reproduces the slice of that interface the social
+platform's posts need as an in-process, dependency-free engine (the token
+dictionary keeps its hash-maps in a purpose-built store,
+:class:`~repro.core.dictionary.PerturbationDictionary`):
 
 * schemaless documents (plain ``dict``) with an ``_id`` primary key;
 * ``insert_one`` / ``insert_many`` / ``find`` / ``find_one`` / ``count`` /
@@ -57,16 +59,13 @@ class Collection:
     document wholesale.  :meth:`update_one` builds the new version from a
     shallow copy of the stored one and deep-copies only the values it
     writes, so old and new versions share their untouched values.  That
-    invariant is what lets :meth:`find_shared`, :meth:`project_values` and
-    ``load_documents(copy=False)`` share documents without copying, and
-    iteration copy them outside the lock.
+    invariant is what lets iteration copy documents outside the lock.
 
-    A reentrant lock serializes every read and write: the batch engine runs
-    Look Up retrieval from worker threads while the crawler concurrently
-    enriches the token collection, and a real database client would likewise
-    present each operation as atomic.  Callers that need a compound
-    read-modify-write to be atomic (e.g. the dictionary's upsert of a token
-    count) should hold :attr:`lock` across the sequence.
+    A reentrant lock serializes every read and write: a social platform is
+    searched and crawled while posts are ingested, and a real database
+    client would likewise present each operation as atomic.
+    Callers that need a compound read-modify-write to be atomic should hold
+    :attr:`lock` across the sequence.
     """
 
     def __init__(self, name: str) -> None:
@@ -140,17 +139,13 @@ class Collection:
         return [self.insert_one(document) for document in documents]
 
     @_locked
-    def load_documents(
-        self, documents: Iterable[Mapping[str, Any]], copy: bool = True
-    ) -> int:
+    def load_documents(self, documents: Iterable[Mapping[str, Any]]) -> int:
         """Bulk-insert ``documents`` in one locked pass; returns the count.
 
-        The warm-start path for persistence: one lock acquisition and one
-        index update per document, and with ``copy=False`` the documents are
-        adopted by reference — only valid when the caller hands over
-        ownership (freshly parsed JSON it will never touch again), which is
-        exactly what the JSONL loader and the snapshot loader do, and the
-        dictionary's batch write for the documents it builds.  Duplicate
+        The bulk path for persistence: one lock acquisition and one index
+        update per document, and the documents are adopted without a deep
+        copy — the caller hands over ownership (freshly parsed JSON it will
+        never touch again, as the JSONL loader does).  Duplicate
         ``_id``\\ s raise :class:`~repro.errors.DuplicateKeyError` exactly
         like :meth:`insert_one`.
         """
@@ -160,7 +155,7 @@ class Collection:
                 raise StorageError(
                     f"documents must be mappings, got {type(document).__name__}"
                 )
-            stored = _deepcopy(dict(document)) if copy else dict(document)
+            stored = dict(document)
             doc_id = stored.get("_id")
             if doc_id is None:
                 doc_id = self._next_id()
@@ -361,22 +356,6 @@ class Collection:
             ]
         return [copy.deepcopy(doc) for doc in matched]
 
-    @_locked
-    def find_shared(
-        self, filter_document: Mapping[str, Any] | None = None
-    ) -> list[dict[str, Any]]:
-        """The stored documents matching the filter, in ``str(_id)`` order.
-
-        :meth:`find` without the deep copies, for callers that only read:
-        the returned dicts *are* the stored versions, and must never be
-        mutated.  Because every write replaces a stored document instead of
-        changing it, each returned document stays a consistent view of its
-        version after the lock is released.
-        """
-        matched = self._matches(filter_document)
-        matched.sort(key=_id_order)
-        return matched
-
     def find_one(
         self, filter_document: Mapping[str, Any] | None = None
     ) -> dict[str, Any] | None:
@@ -392,23 +371,6 @@ class Collection:
                 f"collection {self.name!r} has no document with _id={doc_id!r}"
             )
         return copy.deepcopy(self._documents[doc_id])
-
-    @_locked
-    def project_values(self, fields: Sequence[str]) -> list[tuple]:
-        """Top-level field values of every document, without deep copies.
-
-        One tuple per document (missing fields yield ``None``), in
-        arbitrary order.  The values are shared with storage: scalars are
-        safe to keep, and a container value (a nested dict or list) must
-        only be read, like a :meth:`find_shared` result.  The dictionary's
-        content fingerprint and statistics read through this; deep-copying
-        10k documents just to hash three scalar fields was the dominant
-        cost of a small delta.
-        """
-        return [
-            tuple(document.get(field) for field in fields)
-            for document in self._documents.values()
-        ]
 
     @_locked
     def count(self, filter_document: Mapping[str, Any] | None = None) -> int:

@@ -1,9 +1,9 @@
 """JSONL persistence for document collections.
 
 The original CrypText keeps its dictionary in MongoDB, which persists to
-disk; this reproduction persists collections as JSON-lines files so a
-dictionary built from a large crawl can be saved once and reloaded quickly
-by examples, tests, and benchmarks.
+disk; this reproduction persists collections and the dictionary's token
+documents as JSON-lines files so a dictionary built from a large crawl can
+be saved once and reloaded quickly by examples, tests, and benchmarks.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator, Mapping
 
 from ..errors import PersistenceError
 from .document_store import Collection, DocumentStore
@@ -86,25 +86,66 @@ def read_json(path: str | Path) -> Any:
         raise PersistenceError(f"{source}: invalid JSON: {exc}") from exc
 
 
-def dump_collection(collection: Collection, path: str | Path) -> int:
-    """Write every document of ``collection`` to ``path`` as JSON lines.
+def write_jsonl(path: str | Path, documents: Iterable[Mapping[str, Any]]) -> int:
+    """Write ``documents`` to ``path`` as JSON lines; returns how many.
 
-    Returns the number of documents written.  Parent directories are created
-    as needed; the file is written atomically (temp file + rename) so a
-    crash mid-dump cannot truncate a previously good dump.
+    The one JSONL writer, behind :func:`dump_collection` and the CLI's
+    ``tokens.jsonl``.  Parent directories are created as needed; the file
+    is written atomically (temp file + rename) so a crash mid-dump cannot
+    truncate a previously good dump.
     """
     target = Path(path)
     try:
-        lines = []
-        for document in collection:
-            lines.append(json.dumps(document, ensure_ascii=False, sort_keys=True))
-        lines.append("")
-        write_text_atomic(target, "\n".join(lines))
-        return len(lines) - 1
+        lines = [
+            json.dumps(document, ensure_ascii=False, sort_keys=True)
+            for document in documents
+        ]
     except (TypeError, ValueError) as exc:
-        raise PersistenceError(
-            f"failed to dump collection {collection.name!r} to {target}: {exc}"
-        ) from exc
+        raise PersistenceError(f"cannot serialize a document for {target}: {exc}") from exc
+    lines.append("")
+    write_text_atomic(target, "\n".join(lines))
+    return len(lines) - 1
+
+
+def iter_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
+    """Yield the JSON object on each non-blank line of ``path``.
+
+    The one JSONL reader, behind :func:`load_collection` and the CLI's
+    ``tokens.jsonl`` load.  A missing or unreadable file, a line that is not
+    JSON, or a line holding anything but an object raises
+    :class:`~repro.errors.PersistenceError` naming the file and line.
+    """
+    source = Path(path)
+    if not source.exists():
+        raise PersistenceError(f"no such file: {source}")
+    try:
+        with source.open("r", encoding="utf-8") as handle:
+            for line_number, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    document = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise PersistenceError(
+                        f"{source}:{line_number}: invalid JSON: {exc}"
+                    ) from exc
+                if not isinstance(document, dict):
+                    raise PersistenceError(
+                        f"{source}:{line_number}: expected an object, got "
+                        f"{type(document).__name__}"
+                    )
+                yield document
+    except OSError as exc:
+        raise PersistenceError(f"failed to read {source}: {exc}") from exc
+
+
+def dump_collection(collection: Collection, path: str | Path) -> int:
+    """Write every document of ``collection`` to ``path`` as JSON lines.
+
+    Returns the number of documents written (see :func:`write_jsonl`).
+    """
+    return write_jsonl(path, collection)
 
 
 def load_collection(
@@ -125,35 +166,10 @@ def load_collection(
 
     Returns the number of documents loaded.
     """
-    source = Path(path)
-    if not source.exists():
-        raise PersistenceError(f"no such file: {source}")
-    documents: list[dict[str, Any]] = []
-    try:
-        with source.open("r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    document = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise PersistenceError(
-                        f"{source}:{line_number}: invalid JSON: {exc}"
-                    ) from exc
-                if not isinstance(document, dict):
-                    raise PersistenceError(
-                        f"{source}:{line_number}: expected an object, got "
-                        f"{type(document).__name__}"
-                    )
-                documents.append(document)
-    except OSError as exc:
-        raise PersistenceError(f"failed to read {source}: {exc}") from exc
+    documents = list(iter_jsonl(path))
     if clear:
         collection.clear()
-    # The parsed documents are owned by this call — adopt them by reference
-    # (one locked pass, no per-document deepcopy).
-    return collection.load_documents(documents, copy=False)
+    return collection.load_documents(documents)
 
 
 def dump_store(store: DocumentStore, directory: str | Path) -> dict[str, int]:
@@ -174,15 +190,3 @@ def load_store(store: DocumentStore, directory: str | Path) -> dict[str, int]:
     for path in sorted(base.glob("*.jsonl")):
         loaded[path.stem] = load_collection(store.collection(path.stem), path)
     return loaded
-
-
-def iter_jsonl(path: str | Path) -> Iterable[dict[str, Any]]:
-    """Yield documents from a JSONL file without touching a collection."""
-    source = Path(path)
-    if not source.exists():
-        raise PersistenceError(f"no such file: {source}")
-    with source.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield json.loads(line)

@@ -5,7 +5,7 @@ The compiled-matcher stack (PR 2/3) makes Look Up / Normalization fast only
 bucketing and trie compilation from scratch.  A snapshot captures everything
 a warm engine needs in one on-disk artifact:
 
-* the token **documents** of the dictionary collection (with their ``_id``\\ s,
+* the dictionary's token **documents** (with their ``_id``\\ s,
   so the str(``_id``)-sorted bucket order every matcher relies on survives a
   reload byte for byte);
 * the **trie families** — each distinct token sequence serialized once, with

@@ -8,7 +8,7 @@ exactly the dirty slice:
 * the **documents** (with their ``_id``\\ s) of every token written since the
   last save — replaced documents overwrite their base version by ``_id``,
   new documents append, so the ``str(_id)`` bucket order of a live
-  collection survives resolution byte for byte;
+  dictionary survives resolution byte for byte;
 * the re-serialized **trie families** of the dirty ``(level, key)`` buckets
   only, plus the bucket-table rows pointing at them;
 * the **parent fingerprint** — the content fingerprint the dictionary had

@@ -84,9 +84,13 @@ class TestOverridesAndSerialization:
         assert restored == config
 
     def test_from_dict_collects_unknown_keys_into_extra(self):
-        config = CrypTextConfig.from_dict({"edit_distance": 1, "future_knob": True})
+        # reader_processes was a field once; configs saved then still load.
+        config = CrypTextConfig.from_dict(
+            {"edit_distance": 1, "future_knob": True, "reader_processes": 4}
+        )
         assert config.edit_distance == 1
         assert config.extra["future_knob"] is True
+        assert config.extra["reader_processes"] == 4
 
     def test_config_is_hashable_and_frozen(self):
         config = CrypTextConfig()

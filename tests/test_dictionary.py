@@ -139,6 +139,35 @@ class TestCorpusConstruction:
         assert dictionary.entry("mandate").sources == ("unit",)
 
 
+class TestReplaceDocuments:
+    def test_a_replaced_dictionary_starts_a_new_chain(self, tmp_path):
+        from repro.storage import SNAPSHOT_FILE_NAME
+        from repro.wal.delta import resolve_snapshot_chain
+
+        dictionary = PerturbationDictionary.from_corpus(["the vaccine mandate"])
+        dictionary.save_snapshot(tmp_path / SNAPSHOT_FILE_NAME)
+        other = PerturbationDictionary.from_corpus(["the demokrats hate the vacc1ne"])
+        dictionary.replace_documents(other.documents())
+        assert dictionary.documents() == other.documents()
+        assert dictionary.add_token("demmocrats") is AddOutcome.INSERTED
+        assert dictionary.entry("demmocrats") is not None
+        assert max(d["_id"] for d in dictionary.documents()) == len(other) + 1
+        # No delta may extend the chain the old state saved: the incremental
+        # save rewrites the base in full.
+        report = dictionary.save_snapshot(tmp_path / SNAPSHOT_FILE_NAME, incremental=True)
+        assert not report.incremental
+        chain = resolve_snapshot_chain(tmp_path)
+        assert list(chain.snapshot.documents) == dictionary.documents()
+
+    def test_malformed_documents_change_nothing(self):
+        dictionary = PerturbationDictionary.from_corpus(["the vaccine mandate"])
+        before, version = dictionary.documents(), dictionary.version
+        for documents in ([*before, {"token": "x"}], [*before, before[0]]):
+            with pytest.raises(DictionaryError):
+                dictionary.replace_documents(documents)
+        assert dictionary.documents() == before and dictionary.version == version
+
+
 class TestBucketQueries:
     def test_bucket_for_token_contains_perturbations(self, table1_dictionary):
         bucket = {entry.token for entry in table1_dictionary.bucket_for_token("republicans")}
@@ -277,9 +306,9 @@ def _reference(method: str, batches, source) -> tuple[PerturbationDictionary, li
 
 
 def _assert_same_state(actual: PerturbationDictionary, expected: PerturbationDictionary):
-    # find() returns whole documents in _id order: _id, token, canonical,
-    # keys, count, is_word and sources (in order) must all agree.
-    assert actual.collection.find() == expected.collection.find()
+    # documents() returns whole documents in _id order: _id, token,
+    # canonical, keys, count, is_word and sources (in order) must all agree.
+    assert actual.documents() == expected.documents()
     assert actual.content_fingerprint() == expected.content_fingerprint()
     for level in expected.phonetic_levels:
         for key in expected.hashmap(phonetic_level=level):

@@ -39,7 +39,7 @@ from repro import CrypTextConfig
 from repro.cli import DB_FILE_NAME, _build_system
 from repro.core.dictionary import PerturbationDictionary
 from repro.core.lookup import LookupEngine
-from repro.storage import SNAPSHOT_FILE_NAME, dump_collection
+from repro.storage import SNAPSHOT_FILE_NAME, write_jsonl
 from repro.text.wordlist import default_lexicon
 from repro.wal import ChangeLog, wal_directory_for
 from repro.wal.delta import resolve_snapshot_chain
@@ -131,9 +131,7 @@ class DictionaryMachine(RuleBasedStateMachine):
         return buckets
 
     def check(self, dictionary: PerturbationDictionary) -> None:
-        documents = {
-            document["token"]: document for document in dictionary.collection.find()
-        }
+        documents = {document["token"]: document for document in dictionary.documents()}
         assert {
             token: {
                 "_id": document["_id"],
@@ -207,7 +205,7 @@ class DictionaryMachine(RuleBasedStateMachine):
     def jsonl_round_trip(self):
         db = self.directory / "db"
         db.mkdir(exist_ok=True)
-        dump_collection(self.dictionary.collection, db / DB_FILE_NAME)
+        write_jsonl(db / DB_FILE_NAME, self.dictionary.documents())
         loaded = _build_system(argparse.Namespace(db=str(db))).dictionary
         self.check(loaded)
 

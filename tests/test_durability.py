@@ -188,8 +188,8 @@ class TestCrashRecovery:
         _assert_equivalent(self._uninterrupted_reference(), recovered)
         # Replay reassigned the exact document ids, so bucket order — and
         # therefore every downstream ranking — is byte-identical.
-        assert [d["_id"] for d in victim.collection.find(None)] == [
-            d["_id"] for d in recovered.collection.find(None)
+        assert [d["_id"] for d in victim.documents()] == [
+            d["_id"] for d in recovered.documents()
         ]
 
     def test_recovery_is_idempotent(self, tmp_path):
@@ -412,8 +412,8 @@ class TestCrashRecovery:
         for index in range(7):  # advance the auto-id counter well past 2
             live.add_token(f"prior{index}word", source="old-life")
         live.recover(tmp_path)
-        assert {d["token"]: d["_id"] for d in live.collection.find(None)} == {
-            d["token"]: d["_id"] for d in victim.collection.find(None)
+        assert {d["token"]: d["_id"] for d in live.documents()} == {
+            d["token"]: d["_id"] for d in victim.documents()
         }
         _assert_equivalent(victim, live)
 

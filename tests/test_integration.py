@@ -15,7 +15,7 @@ from repro.api import CrypTextService
 from repro.classifiers import RobustnessEvaluator, SimulatedToxicityAPI
 from repro.datasets import build_classification_dataset, build_perturbation_pairs
 from repro.social import SocialListener, SocialPlatform, StreamCrawler
-from repro.storage import dump_collection, load_collection
+from repro.storage import iter_jsonl, write_jsonl
 from repro.viz import build_benchmark_page, build_timeline_chart, build_word_cloud
 
 
@@ -96,9 +96,9 @@ class TestRobustnessSweep:
 class TestPersistenceRoundTrip:
     def test_dictionary_survives_dump_and_reload(self, cryptext_small, tmp_path):
         path = tmp_path / "tokens.jsonl"
-        dump_collection(cryptext_small.dictionary.collection, path)
+        write_jsonl(path, cryptext_small.dictionary.documents())
         rebuilt = CrypText.empty(seed_lexicon=False)
-        load_collection(rebuilt.dictionary.collection, path)
+        rebuilt.dictionary.replace_documents(iter_jsonl(path))
         original = cryptext_small.look_up("republicans").tokens
         restored = rebuilt.look_up("republicans").tokens
         assert set(original) == set(restored)

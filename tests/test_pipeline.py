@@ -25,6 +25,15 @@ class TestFactories:
         bare = CrypText.from_corpus(small_corpus, seed_lexicon=False)
         assert len(seeded.dictionary) > len(bare.dictionary)
 
+    def test_from_corpus_accepts_a_dotted_capital_i(self):
+        # "İ".lower() is two characters; the scorer's tokens must still build.
+        system = CrypText.from_corpus(["the İstanbul vaccine", "the vaccine works"])
+        assert system.scorer is not None and system.scorer.is_trained
+        assert "İstanbul" in system.dictionary
+        assert system.normalize("the İstanbul vaccine").normalized_text == (
+            "the İstanbul vaccine"
+        )
+
     def test_empty_factory_is_lexicon_only(self):
         system = CrypText.empty()
         stats = system.stats()

@@ -54,6 +54,11 @@ class TestSearch:
         assert len(result) == 1
         assert "democrats" in result.texts[0]
 
+    def test_search_finds_a_post_with_a_dotted_capital_i(self, platform):
+        # "İ".lower() is two characters, longer than the token's span.
+        post_id = platform.ingest_raw("İstanbul vaccine rally", "2021-11-06")
+        assert [post["_id"] for post in platform.search("İstanbul").posts] == [post_id]
+
     def test_search_is_case_insensitive(self, platform):
         assert len(platform.search("DEMOCRATS")) == 1
 

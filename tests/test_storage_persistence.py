@@ -13,6 +13,7 @@ from repro.storage import (
     iter_jsonl,
     load_collection,
     load_store,
+    write_jsonl,
 )
 
 
@@ -127,9 +128,9 @@ class TestDictionaryPersistence:
 
         dictionary = PerturbationDictionary.from_corpus(small_corpus)
         path = tmp_path / "dictionary.jsonl"
-        dump_collection(dictionary.collection, path)
+        write_jsonl(path, dictionary.documents())
         fresh = PerturbationDictionary()
-        load_collection(fresh.collection, path)
+        fresh.replace_documents(iter_jsonl(path))
         assert len(fresh) == len(dictionary)
         assert {e.token for e in fresh.bucket_for_token("republicans")} == {
             e.token for e in dictionary.bucket_for_token("republicans")
