@@ -8,9 +8,9 @@ Interactive Toolkit of Human-Written Text Perturbations in the Wild*
   keyed by (:mod:`repro.core`);
 * the four interactive functions — Look Up, Normalization, Perturbation and
   Social Listening;
-* every substrate the system depends on — an embedded document store and
-  cache (:mod:`repro.storage`), an n-gram coherency scorer (:mod:`repro.lm`),
-  a sentiment analyzer (:mod:`repro.sentiment`), simulated downstream NLP
+* every substrate the system depends on — JSONL and snapshot persistence
+  and a query cache (:mod:`repro.storage`), an n-gram coherency scorer
+  (:mod:`repro.lm`), a sentiment analyzer (:mod:`repro.sentiment`), simulated downstream NLP
   APIs (:mod:`repro.classifiers`), a simulated social platform with crawler
   (:mod:`repro.social`), synthetic corpora (:mod:`repro.datasets`), a
   token-authorized service layer (:mod:`repro.api`) and visualization data

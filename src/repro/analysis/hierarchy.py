@@ -38,7 +38,8 @@ The declared order (outermost first), as established by PRs 1-7:
     ``storage.cache``.  The dictionary's token store itself has no lock:
     writes under ``dictionary.write`` replace its documents and bucket
     tuples, and full scans copy its document table under the same hold.
-    ``storage.collection`` guards the social platform's post collections.
+    ``social.posts`` guards the simulated social platform's post list and
+    its token index; nothing is acquired while it is held.
 7.  Leaf-side locks: the query cache, the compiled-bucket LRU, trie
     registry/family locks, the fault registry (hit from inside
     ``wal.segment``), and the per-replica breaker.
@@ -56,7 +57,7 @@ LOCK_RANKS: dict[str, int] = {
     "dictionary.snapshot": 90,
     "dictionary.write": 100,
     "wal.segment": 110,
-    "storage.collection": 120,
+    "social.posts": 120,
     "storage.cache": 130,
     "dictionary.compiled": 140,
     "matcher.registry": 150,
@@ -88,7 +89,7 @@ HOT_PATH_LOCKS: frozenset[str] = frozenset(
     {
         "dictionary.write",
         "dictionary.compiled",
-        "storage.collection",
+        "social.posts",
         "storage.cache",
         "matcher.registry",
         "matcher.family",

@@ -10,6 +10,7 @@ read, so this layer keeps no cache of its own.
 
 from __future__ import annotations
 
+import datetime
 import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TypeVar
@@ -126,6 +127,22 @@ def _validate_optional_bool(name: str, value: object) -> None:
     """Reject an optional flag that is neither a boolean nor ``None``."""
     if value is not None and not isinstance(value, bool):
         raise ServiceError(f"{name} must be a boolean or null, got {value!r}")
+
+
+def _iso_date_or_none(name: str, value: object) -> str | None:
+    """The ``YYYY-MM-DD`` form of an optional date bound.
+
+    The bound must be null or a string :meth:`datetime.date.fromisoformat`
+    accepts.
+    """
+    if value is None:
+        return None
+    try:
+        return datetime.date.fromisoformat(value).isoformat()  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        raise ServiceError(
+            f"{name} must be an ISO date string or null, got {value!r}"
+        ) from None
 
 
 def _traced(route: str):
@@ -511,6 +528,8 @@ class CrypTextService:
             return guard
         try:
             self._validate_batch(keywords, self.max_batch_size, "keywords")
+            since = _iso_date_or_none("since", since)
+            until = _iso_date_or_none("until", until)
             listener = self._listener_or_error()
         except ServiceError as exc:
             return ServiceResponse(status=400, body={"error": str(exc)})

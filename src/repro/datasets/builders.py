@@ -109,7 +109,7 @@ class SyntheticPost:
         return bool(self.perturbed_pairs)
 
     def to_document(self) -> dict[str, object]:
-        """Serialize to a document-store record (used by the platform sim)."""
+        """Serialize to the post record the simulated platform stores."""
         return {
             "post_id": self.post_id,
             "platform": self.platform,

@@ -30,23 +30,11 @@ class DictionaryError(CrypTextError):
 
 
 class StorageError(CrypTextError):
-    """Base class for document-store and cache failures."""
-
-
-class DuplicateKeyError(StorageError):
-    """Raised when inserting a document whose ``_id`` already exists."""
-
-
-class DocumentNotFoundError(StorageError):
-    """Raised when a requested document id does not exist."""
-
-
-class QueryError(StorageError):
-    """Raised when a filter/query document is malformed."""
+    """Base class for persistence and cache failures."""
 
 
 class PersistenceError(StorageError):
-    """Raised when loading or saving a collection to disk fails."""
+    """Raised when reading or writing a file on disk fails."""
 
 
 class SnapshotError(PersistenceError):

@@ -5,9 +5,9 @@ its database from Twitter's public stream (paper §III-E/F).  Neither service
 is reachable offline, so this subpackage simulates them:
 
 * :class:`repro.social.SocialPlatform` — an in-process platform holding
-  posts in a document store and exposing the two operations CrypText uses:
-  keyword **search** (PushShift-style, with date filtering) and a
-  chronological **stream** (Twitter-style) for the crawler;
+  posts in a list with a token index and exposing the two operations
+  CrypText uses: keyword **search** (PushShift-style, with date filtering)
+  and a chronological **stream** (Twitter-style) for the crawler;
 * :class:`repro.social.StreamCrawler` — the background crawler that pulls
   batches from a platform stream and feeds newly observed tokens into the
   perturbation dictionary;

@@ -15,6 +15,7 @@ chart export in :mod:`repro.viz.timeline`.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -128,11 +129,14 @@ class SocialListener:
             day_posts = by_day[day]
             scores = [self.sentiment.compound(str(post["text"])) for post in day_posts]
             negatives = sum(1 for score in scores if score <= -0.05)
+            # fsum rounds only once, so the average depends on the day's set
+            # of posts, not on the order search returned them in.
+            average = math.fsum(scores) / len(scores) if scores else 0.0
             points.append(
                 TimelinePoint(
                     date=day,
                     frequency=len(day_posts),
-                    average_sentiment=(sum(scores) / len(scores)) if scores else 0.0,
+                    average_sentiment=average,
                     negative_share=(negatives / len(day_posts)) if day_posts else 0.0,
                 )
             )

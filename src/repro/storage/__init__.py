@@ -1,28 +1,23 @@
-"""Storage substrate: embedded document store and query cache.
+"""Storage substrate: JSONL and snapshot persistence, and the query cache.
 
 The CrypText architecture (paper §III-F) stores all its data in MongoDB and
-puts a Redis cache in front of slow queries.  This subpackage provides
-embedded, dependency-free stand-ins that expose the operations CrypText
-actually needs:
+puts a Redis cache in front of slow queries.  The dictionary keeps its
+``H_k`` maps in its own token store
+(:class:`~repro.core.dictionary.PerturbationDictionary`) and the simulated
+platform keeps its posts in a list (:class:`~repro.social.SocialPlatform`);
+this subpackage provides what they persist and cache with:
 
-* :class:`repro.storage.DocumentStore` / :class:`repro.storage.Collection` —
-  schemaless document collections with Mongo-style filter documents
-  (``{"field": {"$in": [...]}}``), secondary hash indexes, update/delete, and
-  JSONL persistence;
+* :func:`repro.storage.write_jsonl` / :func:`repro.storage.iter_jsonl` —
+  the JSON-lines files the CLI saves and loads a dictionary's token
+  documents as, plus atomic text/JSON writers;
+* :mod:`repro.storage.snapshot` — checksummed warm-start snapshots;
 * :class:`repro.storage.TTLCache` — a Redis-style key/value cache with
   per-entry TTL, LRU eviction, tag invalidation, version-guarded stores and
   hit/miss statistics, which the Look Up engine uses as its query cache.
 """
 
-from .query import compile_filter, matches_filter
-from .index import HashIndex
-from .document_store import Collection, DocumentStore
 from .persistence import (
-    dump_collection,
-    dump_store,
     iter_jsonl,
-    load_collection,
-    load_store,
     read_json,
     write_json_atomic,
     write_jsonl,
@@ -42,16 +37,7 @@ from .snapshot import (
 from .cache import CacheStats, TTLCache, make_key
 
 __all__ = [
-    "compile_filter",
-    "matches_filter",
-    "HashIndex",
-    "Collection",
-    "DocumentStore",
-    "dump_collection",
-    "dump_store",
     "iter_jsonl",
-    "load_collection",
-    "load_store",
     "read_json",
     "write_json_atomic",
     "write_jsonl",

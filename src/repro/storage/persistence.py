@@ -1,9 +1,10 @@
-"""JSONL persistence for document collections.
+"""JSONL and atomic-file persistence.
 
 The original CrypText keeps its dictionary in MongoDB, which persists to
-disk; this reproduction persists collections and the dictionary's token
-documents as JSON-lines files so a dictionary built from a large crawl can
-be saved once and reloaded quickly by examples, tests, and benchmarks.
+disk; this reproduction writes the dictionary's token documents as a
+JSON-lines file (the CLI's ``tokens.jsonl``) so a dictionary built from a
+large crawl can be saved once and reloaded quickly by examples, tests, and
+benchmarks.  The atomic writers here also back the warm-start snapshots.
 """
 
 from __future__ import annotations
@@ -14,13 +15,12 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
 from ..errors import PersistenceError
-from .document_store import Collection, DocumentStore
 
 
 def write_text_atomic(path: str | Path, text: str) -> Path:
     """Write ``text`` to ``path`` atomically (temp file + rename).
 
-    The dump/load hook shared by collection dumps and warm-start snapshots:
+    The write hook shared by JSONL dumps and warm-start snapshots:
     a crash mid-write leaves either the old file or the new one on disk,
     never a truncated hybrid — which is what lets snapshot loading treat
     "unparseable" strictly as corruption rather than a normal race.
@@ -89,10 +89,10 @@ def read_json(path: str | Path) -> Any:
 def write_jsonl(path: str | Path, documents: Iterable[Mapping[str, Any]]) -> int:
     """Write ``documents`` to ``path`` as JSON lines; returns how many.
 
-    The one JSONL writer, behind :func:`dump_collection` and the CLI's
-    ``tokens.jsonl``.  Parent directories are created as needed; the file
-    is written atomically (temp file + rename) so a crash mid-dump cannot
-    truncate a previously good dump.
+    The one JSONL writer, behind the CLI's ``tokens.jsonl``.  Parent
+    directories are created as needed; the file is written atomically (temp
+    file + rename) so a crash mid-dump cannot truncate a previously good
+    dump.
     """
     target = Path(path)
     try:
@@ -110,10 +110,10 @@ def write_jsonl(path: str | Path, documents: Iterable[Mapping[str, Any]]) -> int
 def iter_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
     """Yield the JSON object on each non-blank line of ``path``.
 
-    The one JSONL reader, behind :func:`load_collection` and the CLI's
-    ``tokens.jsonl`` load.  A missing or unreadable file, a line that is not
-    JSON, or a line holding anything but an object raises
-    :class:`~repro.errors.PersistenceError` naming the file and line.
+    The one JSONL reader, behind the CLI's ``tokens.jsonl`` load.  A missing
+    or unreadable file, a line that is not JSON, or a line holding anything
+    but an object raises :class:`~repro.errors.PersistenceError` naming the
+    file and line.
     """
     source = Path(path)
     if not source.exists():
@@ -139,54 +139,3 @@ def iter_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
     except OSError as exc:
         raise PersistenceError(f"failed to read {source}: {exc}") from exc
 
-
-def dump_collection(collection: Collection, path: str | Path) -> int:
-    """Write every document of ``collection`` to ``path`` as JSON lines.
-
-    Returns the number of documents written (see :func:`write_jsonl`).
-    """
-    return write_jsonl(path, collection)
-
-
-def load_collection(
-    collection: Collection, path: str | Path, clear: bool = True
-) -> int:
-    """Load JSON-lines documents from ``path`` into ``collection``.
-
-    Parameters
-    ----------
-    collection:
-        Target collection (its indexes are refreshed automatically by the
-        inserts).
-    path:
-        JSONL file produced by :func:`dump_collection`.
-    clear:
-        Empty the collection first (default) so the load is a replacement
-        rather than a merge.
-
-    Returns the number of documents loaded.
-    """
-    documents = list(iter_jsonl(path))
-    if clear:
-        collection.clear()
-    return collection.load_documents(documents)
-
-
-def dump_store(store: DocumentStore, directory: str | Path) -> dict[str, int]:
-    """Dump every collection of ``store`` into ``directory`` (one JSONL each)."""
-    base = Path(directory)
-    written: dict[str, int] = {}
-    for name in store.collection_names():
-        written[name] = dump_collection(store.collection(name), base / f"{name}.jsonl")
-    return written
-
-
-def load_store(store: DocumentStore, directory: str | Path) -> dict[str, int]:
-    """Load every ``*.jsonl`` file in ``directory`` into ``store``."""
-    base = Path(directory)
-    if not base.is_dir():
-        raise PersistenceError(f"no such directory: {base}")
-    loaded: dict[str, int] = {}
-    for path in sorted(base.glob("*.jsonl")):
-        loaded[path.stem] = load_collection(store.collection(path.stem), path)
-    return loaded

@@ -145,6 +145,37 @@ def test_malformed_read_requests_are_400(service, token, path, payload, field):
     assert field in response.body["error"]
 
 
+@pytest.mark.parametrize("field", ["since", "until"])
+@pytest.mark.parametrize(
+    "bound",
+    [5, ["2021-11-01"], {"a": 1}, "garbage", "2021-11-10"],
+    ids=["number", "list", "object", "garbage", "iso-date"],
+)
+def test_listen_date_bounds_are_validated(service, token, twitter_platform, field, bound):
+    front = AsyncCrypTextService(service, reader_threads=1)
+
+    async def scenario():
+        try:
+            return await front.dispatch(
+                "POST", "/v1/listen", token, {"keywords": ["vaccine"], field: bound}
+            )
+        finally:
+            await front.stop()
+
+    response = asyncio.run(scenario())
+    if bound != "2021-11-10":
+        assert response.status == 400, response.body
+        assert field in response.body["error"]
+        return
+    listener = service.cryptext.social_listener(twitter_platform)
+    usage = listener.monitor_keywords(["vaccine"], **{field: bound})
+    assert response.status == 200, response.body
+    assert response.body == {
+        "results": {keyword: report.to_dict() for keyword, report in usage.items()}
+    }
+    assert 0 < response.body["results"]["vaccine"]["total_posts"] < len(twitter_platform)
+
+
 class TestNormalizeEndpoint:
     def test_bulk_normalize(self, service, token):
         response = service.normalize(token, ["the demokrats hate the vacc1ne"])

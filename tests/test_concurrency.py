@@ -13,6 +13,8 @@ and the batch layer must tolerate that interleaving:
 * a retrieval that straddles a write never caches its pre-write answer
   (a deterministic two-thread interleaving pins the dictionary's version
   guard);
+* the simulated platform's searches, streams and scans see whole posts in
+  order while a live feed ingests;
 * results are deterministic under a fixed seed — two identical systems
   produce identical batch results.
 """
@@ -23,6 +25,7 @@ import sys
 import threading
 
 from repro import CrypText
+from repro.social import SocialPlatform
 from repro.storage import TTLCache
 
 
@@ -327,6 +330,55 @@ class TestStoreReadsUnderWrites:
         finally:
             sys.setswitchinterval(interval)
         assert not errors, errors
+
+
+class TestPlatformReadsUnderIngest:
+    def test_search_stream_and_all_posts_race_ingest(self):
+        """Platform reads racing a live feed see whole posts, in order.
+
+        One thread ingests raw posts while others search, stream and scan.
+        Every read must see a prefix of the feed: every post so far, each
+        once, with its token index entries, in the documented order.
+        """
+        platform = SocialPlatform("twitter")
+        total = 300
+
+        def ingester():
+            for i in range(total):
+                platform.ingest_raw(f"the vaccine post {i}", f"2021-11-{1 + i % 28:02d}")
+
+        def searcher():
+            for _ in range(100):
+                posts = platform.search(["vaccine", "VACCINE"]).posts
+                ids = sorted(post["_id"] for post in posts)
+                assert ids == list(range(1, len(ids) + 1))
+                days = [post["created_at"] for post in posts]
+                assert days == sorted(days, reverse=True)
+
+        def streamer():
+            for _ in range(20):
+                seen = [
+                    post["post_id"]
+                    for batch in platform.stream(batch_size=7)
+                    for post in batch
+                ]
+                assert seen == list(range(1, len(seen) + 1))
+
+        def scanner():
+            for _ in range(100):
+                posts = platform.all_posts()
+                assert [post["_id"] for post in posts] == list(range(1, len(posts) + 1))
+                assert [post["post_id"] for post in posts] == [post["_id"] for post in posts]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            errors = _run_threads([ingester, searcher, searcher, streamer, scanner])
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert len(platform) == total
+        assert platform.count_matching("vaccine") == total
 
 
 # --------------------------------------------------------------------------- #

@@ -6,6 +6,7 @@ import pytest
 
 from repro import CrypText
 from repro.core.dictionary import PerturbationDictionary
+from repro.datasets import build_social_corpus
 from repro.errors import CrawlerError
 from repro.social import SocialPlatform, StreamCrawler
 
@@ -50,6 +51,21 @@ class TestCrawlRounds:
         crawler = StreamCrawler(small_platform, PerturbationDictionary(), batch_size=1)
         sizes = [report.dictionary_size for report in crawler.crawl_all()]
         assert sizes == sorted(sizes)
+
+    def test_live_post_after_a_crawled_corpus_is_crawled(self):
+        # The corpus's twitter posts are numbered with gaps (the reddit
+        # posts take the rest), so the cursor ends past len(platform).
+        platform = SocialPlatform("twitter")
+        platform.ingest_posts(build_social_corpus(200, seed=7))
+        dictionary = PerturbationDictionary()
+        crawler = StreamCrawler(platform, dictionary, batch_size=50)
+        crawler.crawl_all()
+        assert crawler.cursor > len(platform)
+        platform.ingest_raw("the vaxxine m4ndate is back", "2021-12-01")
+        report = crawler.crawl_once()
+        assert report is not None
+        assert report.posts_processed == 1
+        assert "m4ndate" in dictionary
 
     def test_new_tokens_reported(self, small_platform):
         crawler = StreamCrawler(small_platform, PerturbationDictionary(), batch_size=4)

@@ -132,3 +132,29 @@ class TestCustomSentimentAnalyzer:
         assert usage.timeline
         total = sum(point.average_sentiment for point in usage.timeline)
         assert total < 0
+
+
+class TestTimelineOrder:
+    def test_a_days_timeline_does_not_depend_on_post_order(self, cryptext_small):
+        # Summed left to right, 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ
+        # in the last bit.
+        scores = {"vaccine one": 0.1, "vaccine two": 0.2, "vaccine three": 0.3}
+
+        class TableSentiment:
+            def compound(self, text: str) -> float:
+                return scores[text]
+
+        timelines = []
+        for texts in (list(scores), list(reversed(scores))):
+            platform = SocialPlatform("twitter")
+            for text in texts:
+                platform.ingest_raw(text, "2021-11-04")
+            listener = SocialListener(
+                platform=platform,
+                lookup=cryptext_small.lookup_engine,
+                sentiment=TableSentiment(),
+                max_perturbations=0,
+            )
+            timelines.append(listener.monitor_keyword("vaccine").timeline)
+        assert timelines[0] == timelines[1]
+        assert timelines[0][0].frequency == 3

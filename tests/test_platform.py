@@ -47,6 +47,30 @@ class TestIngestion:
         platform.ingest_raw("hello world", "2021-11-01", subreddit="politics")
         assert platform.all_posts()[0]["subreddit"] == "politics"
 
+    def test_ingest_raw_continues_after_the_largest_post_id(self):
+        platform = SocialPlatform("twitter")
+        platform.ingest_posts(build_social_corpus(200, seed=7))
+        largest = max(post["post_id"] for post in platform.all_posts())
+        assert largest > len(platform)
+        platform.ingest_raw("a fresh vaccine post", "2021-12-01")
+        assert platform.all_posts()[-1]["post_id"] == largest + 1
+
+    def test_non_string_created_at_rejected(self, platform):
+        with pytest.raises(PlatformError, match="created_at"):
+            platform.ingest_raw("another vaccine post", None)
+        assert len(platform) == 4
+
+    def test_posts_are_copied_in_and_out(self):
+        platform = SocialPlatform("twitter")
+        tags = ["news"]
+        platform.ingest_raw("the vaccine rollout", "2021-11-01", tags=tags)
+        tags.append("changed by the caller")
+        platform.search("vaccine").posts[0]["tags"].append("changed by a reader")
+        platform.all_posts()[0]["tokens"].clear()
+        stored = platform.all_posts()[0]
+        assert stored["tags"] == ["news"]
+        assert stored["tokens"] == ["the", "vaccine", "rollout"]
+
 
 class TestSearch:
     def test_single_keyword(self, platform):
@@ -91,6 +115,13 @@ class TestSearch:
     def test_empty_query_rejected(self, platform):
         with pytest.raises(PlatformError):
             platform.search([])
+
+    @pytest.mark.parametrize("bound", [5, ["2021-11-01"], {"a": 1}])
+    def test_non_string_date_bound_rejected(self, platform, bound):
+        with pytest.raises(PlatformError, match="since"):
+            platform.search("democrats", since=bound)
+        with pytest.raises(PlatformError, match="until"):
+            platform.search("democrats", until=bound)
 
     def test_count_matching(self, platform):
         assert platform.count_matching("republicans") == 1

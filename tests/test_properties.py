@@ -14,7 +14,9 @@ from repro.core.edit_distance import (
 )
 from repro.core.soundex import CustomSoundex
 from repro.core.sms import SMSCheck
-from repro.storage import Collection, TTLCache, compile_filter
+from repro.datasets.builders import SyntheticPost
+from repro.social import SocialPlatform
+from repro.storage import TTLCache
 from repro.text.charmap import fold_visual_characters, visual_equivalence_class
 from repro.text.tokenizer import Tokenizer, detokenize
 from repro.text.unicode_fold import fold_text
@@ -193,54 +195,89 @@ class TestTokenizerProperties:
 
 
 # ---------------------------------------------------------------------------
-# storage invariants
+# social platform invariants
 # ---------------------------------------------------------------------------
 
-document_values = st.one_of(
-    st.integers(min_value=-1000, max_value=1000),
-    st.text(alphabet=string.ascii_lowercase, max_size=8),
-    st.booleans(),
+post_days = st.sampled_from(["2021-11-01", "2021-11-02", "2021-11-03"])
+post_words = st.sampled_from(["vaccine", "VACCINE", "dem0crats", "mask", "the", "garden"])
+post_texts = st.lists(post_words, min_size=1, max_size=5).map(" ".join)
+# Crawled posts carry their own (unique, unordered) post ids; live posts
+# ingested after them are numbered by the platform.
+crawled_posts = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=40), post_days, post_texts),
+    max_size=15,
+    unique_by=lambda post: post[0],
 )
-documents = st.lists(
-    st.fixed_dictionaries(
-        {"group": st.sampled_from(["a", "b", "c"]), "value": document_values}
-    ),
-    min_size=0,
-    max_size=25,
-)
+live_posts = st.lists(st.tuples(post_days, post_texts), max_size=5)
+date_bounds = st.one_of(st.none(), post_days)
 
 
-class TestStorageProperties:
-    @given(documents)
-    def test_indexed_find_matches_scan(self, docs):
-        plain = Collection("plain")
-        indexed = Collection("indexed")
-        indexed.create_index("group")
-        plain.insert_many(docs)
-        indexed.insert_many(docs)
-        for group in ("a", "b", "c"):
-            scan = {doc["_id"] for doc in plain.find({"group": group})}
-            fast = {doc["_id"] for doc in indexed.find({"group": group})}
-            assert scan == fast
+def _platform(crawled, live) -> SocialPlatform:
+    platform = SocialPlatform("twitter")
+    platform.ingest_posts(
+        SyntheticPost(
+            post_id=post_id,
+            platform="twitter",
+            author="a",
+            created_at=day,
+            topic="t",
+            sentiment="neutral",
+            toxic=False,
+            clean_text=text,
+            text=text,
+        )
+        for post_id, day, text in crawled
+    )
+    for day, text in live:
+        platform.ingest_raw(text, day)
+    return platform
 
-    @given(documents)
-    def test_count_consistent_with_find(self, docs):
-        collection = Collection("c")
-        collection.insert_many(docs)
-        for group in ("a", "b", "c"):
-            assert collection.count({"group": group}) == len(
-                collection.find({"group": group})
-            )
 
-    @given(documents, st.integers(min_value=-1000, max_value=1000))
-    @settings(max_examples=50)
-    def test_filter_predicate_matches_semantics(self, docs, threshold):
-        predicate = compile_filter({"value": {"$gte": threshold}})
-        for doc in docs:
-            expected = isinstance(doc["value"], (int, bool)) and doc["value"] >= threshold
-            if isinstance(doc["value"], str):
-                expected = False
-            assert predicate(doc) == expected
+class TestSocialPlatformProperties:
+    @given(
+        crawled_posts,
+        live_posts,
+        st.lists(post_words, min_size=1, max_size=3),
+        date_bounds,
+        date_bounds,
+        st.one_of(st.none(), st.integers(min_value=0, max_value=25)),
+    )
+    def test_search_is_a_filter_over_all_posts(
+        self, crawled, live, queries, since, until, limit
+    ):
+        platform = _platform(crawled, live)
+        wanted = {query.lower() for query in queries}
+        matches = [
+            post
+            for post in platform.all_posts()
+            if wanted & set(str(post["text"]).lower().split())
+            and (since is None or post["created_at"] >= since)
+            and (until is None or post["created_at"] <= until)
+        ]
+        # Most recent first; one day's posts in ingest (``_id``) order.
+        matches.sort(key=lambda post: (post["created_at"], -post["_id"]), reverse=True)
+        result = platform.search(queries, since=since, until=until, limit=limit)
+        assert list(result.posts) == matches[:limit]
+
+    @given(
+        crawled_posts,
+        live_posts,
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=50),
+    )
+    def test_stream_batches_concatenate_to_all_posts_past_the_cursor(
+        self, crawled, live, batch_size, cursor
+    ):
+        platform = _platform(crawled, live)
+        everything = platform.all_posts()
+        # Live posts continue after the largest crawled id, so ids stay unique.
+        post_ids = [post["post_id"] for post in everything]
+        assert post_ids == sorted(set(post_ids))
+        batches = list(platform.stream(batch_size=batch_size, after_post_id=cursor))
+        assert all(len(batch) == batch_size for batch in batches[:-1])
+        assert [post for batch in batches for post in batch] == [
+            post for post in everything if post["post_id"] > cursor
+        ]
 
 
 class TestCacheProperties:
