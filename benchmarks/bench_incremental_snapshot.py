@@ -18,7 +18,10 @@ itself, then measures:
 * full save vs delta save over a dictionary of ``size`` near-variant tokens
   with a bounded dirty slice (< 5% of buckets);
 * recovery time for a crash losing ``tail`` journaled-but-unsnapshotted
-  writes.
+  writes;
+* (full run only) the tracemalloc peak of the same full and delta saves,
+  taken in a separate untimed pass on a second, identical dictionary,
+  because tracing slows the code it measures.
 
 Run as a script (not collected by pytest)::
 
@@ -38,6 +41,7 @@ import json
 import random
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -72,21 +76,57 @@ def _dirty_some_buckets(
         dictionary.add_token(_perturb(stem, rng), source="dirty", changed_keys=changed)
 
 
-def measure_save(size: int, seed: int, work_dir: Path) -> dict:
-    """Time one full rewrite vs one delta save with < 5% of buckets dirty."""
+def _chained_and_dirty(size: int, seed: int, snapshot_dir: Path):
+    """A dictionary saved into ``snapshot_dir`` (the chain's base), then
+    written until just under 5% of its buckets are dirty."""
     config = CrypTextConfig(cache_max_entries=65536, cache_enabled=False)
     dictionary = build_dictionary(size, seed, config)
+    dictionary.save_snapshot(snapshot_dir / SNAPSHOT_FILE_NAME)
+    dirty_buckets, total_buckets = _dirty_some_buckets(dictionary, 0.05, seed + 1)
+    return dictionary, config, dirty_buckets, total_buckets
+
+
+def _traced_peak_mb(run) -> float:
+    """The tracemalloc peak (MB) of ``run()`` over what was live before it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def measure_save_peaks(size: int, seed: int, work_dir: Path) -> dict:
+    """Traced peak memory of the full and delta saves :func:`measure_save`
+    times, on an identical dictionary in an untimed pass."""
+    snapshot_dir = work_dir / f"peak_{size}"
+    dictionary, _, _, _ = _chained_and_dirty(size, seed, snapshot_dir)
+    full_peak = _traced_peak_mb(
+        lambda: dictionary.save_snapshot(work_dir / f"peak_full_rewrite_{size}.json")
+    )
+    delta_peak = _traced_peak_mb(
+        lambda: dictionary.save_snapshot(
+            snapshot_dir / SNAPSHOT_FILE_NAME, incremental=True
+        )
+    )
+    return {"full_save_peak_mb": full_peak, "delta_save_peak_mb": delta_peak}
+
+
+def measure_save(size: int, seed: int, work_dir: Path) -> dict:
+    """Time one full rewrite vs one delta save with < 5% of buckets dirty."""
     snapshot_dir = work_dir / f"delta_{size}"
     base_path = snapshot_dir / SNAPSHOT_FILE_NAME
-    dictionary.save_snapshot(base_path)  # establish the chain (and warm tries)
-
-    dirty_buckets, total_buckets = _dirty_some_buckets(dictionary, 0.05, seed + 1)
+    dictionary, config, dirty_buckets, total_buckets = _chained_and_dirty(
+        size, seed, snapshot_dir
+    )
     dirty_fraction = dirty_buckets / total_buckets
 
     # The rewrite baseline: what every save cost before deltas existed.
-    # Saved to a scratch name so the chain tip is untouched; the trie
-    # families are warm from the save above, so this measures serialization
-    # + the dirty recompiles — the steady-state full-save cost.
+    # Saved to a scratch name so the chain tip is untouched.  No trie family
+    # outlives a save (none is in the compiled-bucket cache), so this
+    # measures every bucket's trie builds plus serialization — the
+    # steady-state full-save cost.
     full_elapsed, full_report = _timed(
         lambda: dictionary.save_snapshot(work_dir / f"full_rewrite_{size}.json")
     )
@@ -223,6 +263,14 @@ def main(argv=None) -> int:
                 f"{row['dirty_fraction']:.1%}) -> {row['speedup']:.1f}x",
                 file=sys.stderr,
             )
+            if not args.smoke:
+                row.update(measure_save_peaks(size, args.seed, work_dir))
+                print(
+                    f"entries {size:6d}: traced peak: full save "
+                    f"{row['full_save_peak_mb']:.1f} MB, delta save "
+                    f"{row['delta_save_peak_mb']:.1f} MB",
+                    file=sys.stderr,
+                )
             recovery = measure_recovery(size, args.tail, args.seed, work_dir)
             report["recovery"][str(size)] = recovery
             print(

@@ -44,7 +44,7 @@ import enum
 import weakref
 import zlib
 from collections import Counter, OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Protocol, Sequence
@@ -58,7 +58,7 @@ from ..text.wordlist import EnglishLexicon, default_lexicon
 from .soundex import CustomSoundex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (matcher imports us)
-    from ..storage.snapshot import Snapshot
+    from ..storage.snapshot import LazyPayloads, Snapshot
     from ..wal.log import ChangeLog
     from .matcher import CompiledBucket, TrieFamily, TrieFamilyRegistry
 
@@ -876,19 +876,48 @@ class PerturbationDictionary:
                     grouped.setdefault((level, str(key)), []).append(entry)
         return grouped
 
-    def build_snapshot(
-        self, levels: Sequence[int] | None = None
-    ) -> "Snapshot":
-        """Compile every bucket and capture documents + tries in memory.
+    def _family_rows(
+        self, buckets: Iterable[tuple[tuple[int, str], Sequence[DictionaryEntry]]]
+    ) -> "tuple[tuple[tuple[int, str, int], ...], LazyPayloads]":
+        """Plan a save's bucket table and trie families; compiles nothing.
 
-        For each bucket the raw trie (the Look Up hot path) and the
-        canonical English-only trie (the Normalization hot path) are
-        force-built through the shared family registry, so a token sequence
-        appearing at several phonetic levels is compiled and serialized
-        exactly once.
+        ``buckets`` yields ``((level, key), entries)`` in table order.  Each
+        distinct token sequence gets the next family row, in order of first
+        appearance; the families come back as
+        :class:`~repro.storage.snapshot.LazyPayloads` over the entries of
+        each row's first bucket, so a family's tries are built only when
+        its payload is read.
         """
+        from ..storage.snapshot import LazyPayloads
+
+        rows: dict[tuple[str, ...], int] = {}
+        family_entries: list[Sequence[DictionaryEntry]] = []
+        table: list[tuple[int, str, int]] = []
+        for (level, key), entries in buckets:
+            tokens = tuple(entry.token for entry in entries)
+            row = rows.get(tokens)
+            if row is None:
+                row = rows[tokens] = len(family_entries)
+                family_entries.append(entries)
+            table.append((level, key, row))
+        return tuple(table), LazyPayloads(self._family_payload, family_entries)
+
+    def _family_payload(self, entries: Sequence[DictionaryEntry]) -> dict:
+        """Build one family's two hot-path tries and serialize it.
+
+        The raw trie (Look Up) and the canonical English-only trie
+        (Normalization) are force-built through the shared registry.  A
+        family the compiled-bucket LRU holds keeps them; any other family is
+        freed when this returns, before a save builds the next one.
+        """
+        family = self._trie_families.family_for(entries)
+        family.trie(False, False, entries)
+        family.trie(True, True, entries)
+        return family.to_payload()
+
+    def _plan_snapshot(self, levels: Sequence[int] | None) -> "Snapshot":
+        """Capture documents and plan a full snapshot with lazy families."""
         from ..storage.snapshot import Snapshot
-        from .matcher import TrieFamily
 
         wanted = tuple(self.phonetic_levels if levels is None else sorted(set(levels)))
         for level in wanted:
@@ -906,20 +935,9 @@ class PerturbationDictionary:
             wal_seq = self._wal.last_seq if self._wal is not None else 0
             version = self._version
         documents.sort(key=_id_order)
-        grouped = self._grouped_documents(documents, wanted)
-        families: list[TrieFamily] = []
-        family_rows: dict[int, int] = {}
-        buckets: list[tuple[int, str, int]] = []
-        for (level, key), bucket_entries in grouped.items():
-            family = self._trie_families.family_for(bucket_entries)
-            family.trie(False, False, bucket_entries)
-            family.trie(True, True, bucket_entries)
-            row = family_rows.get(id(family))
-            if row is None:
-                row = len(families)
-                families.append(family)
-                family_rows[id(family)] = row
-            buckets.append((level, key, row))
+        buckets, families = self._family_rows(
+            self._grouped_documents(documents, wanted).items()
+        )
         return Snapshot(
             dictionary_version=version,
             # Fingerprint the captured documents, not the live table: a
@@ -932,10 +950,26 @@ class PerturbationDictionary:
                 "levels": list(wanted),
             },
             documents=tuple(documents),
-            families=tuple(family.to_payload() for family in families),
-            buckets=tuple(buckets),
+            families=families,
+            buckets=buckets,
             wal_seq=wal_seq,
         )
+
+    def build_snapshot(
+        self, levels: Sequence[int] | None = None
+    ) -> "Snapshot":
+        """Compile every bucket and capture documents + tries in memory.
+
+        The materialized form of the plan a full save streams: for each
+        bucket the raw trie (the Look Up hot path) and the canonical
+        English-only trie (the Normalization hot path) are force-built
+        through the shared family registry, so a token sequence appearing
+        at several phonetic levels is compiled and serialized exactly once.
+        Families are built one at a time, but every payload is held;
+        :meth:`save_snapshot` holds one.
+        """
+        snapshot = self._plan_snapshot(levels)
+        return replace(snapshot, families=tuple(snapshot.families))
 
     def save_snapshot(
         self,
@@ -949,6 +983,13 @@ class PerturbationDictionary:
         ``path`` defaults to ``config.snapshot_dir`` (raising
         :class:`DictionaryError` when neither is available).  Compilation
         cost is paid here, once, instead of on every process start.
+
+        A v1 full save and a delta save stream: they capture the documents,
+        plan the bucket table and family rows without compiling, then build,
+        write and drop one trie family at a time, so peak memory is the
+        documents plus one family (a family the compiled-bucket cache holds
+        stays alive).  The file is byte-identical to encoding
+        :meth:`build_snapshot`'s body as one string.
 
         With ``incremental`` true, only the buckets written since the last
         save are re-serialized into a delta file chained onto the base
@@ -995,7 +1036,7 @@ class PerturbationDictionary:
                     return report
                 # No usable chain tip — fall through to the full rewrite.
             # Dirty state is swapped out (not copied) *before* the document
-            # capture inside build_snapshot: a write landing during the
+            # capture inside _plan_snapshot: a write landing during the
             # save dirties the fresh sets, so it can never be subtracted
             # away by this save's completion — at worst it is both in the
             # snapshot and re-saved by the next delta, never lost.  Only a
@@ -1007,7 +1048,9 @@ class PerturbationDictionary:
                     captured_pairs, self._dirty_pairs = self._dirty_pairs, set()
                     captured_tokens, self._dirty_tokens = self._dirty_tokens, set()
             try:
-                snapshot = self.build_snapshot(levels=levels)
+                # The v1 writer streams the planned families one at a time;
+                # the v2 writer materializes them all first.
+                snapshot = self._plan_snapshot(levels)
                 if shards is None:
                     shards = self.config.snapshot_shards
                 if shards > 0:
@@ -1106,7 +1149,6 @@ class PerturbationDictionary:
         capture so it cannot change between validation and use.
         """
         from ..wal.delta import DeltaSnapshot, delta_path, write_delta
-        from .matcher import TrieFamily
 
         with self._write_lock:
             if self._chain_dir != directory or self._chain_fingerprint is None:
@@ -1144,29 +1186,18 @@ class PerturbationDictionary:
             captured = list(table.values())
         try:
             fingerprint = self._documents_fingerprint(captured)
-            # Trie compilation happens outside the write lock — a concurrent
-            # writer only re-dirties a bucket, which the next delta re-saves.
-            families: list[TrieFamily] = []
-            family_rows: dict[int, int] = {}
-            buckets: list[tuple[int, str, int]] = []
-            for (level, key), entries in sorted(bucket_entries.items()):
-                family = self._trie_families.family_for(entries)
-                family.trie(False, False, entries)
-                family.trie(True, True, entries)
-                row = family_rows.get(id(family))
-                if row is None:
-                    row = len(families)
-                    families.append(family)
-                    family_rows[id(family)] = row
-                buckets.append((level, key, row))
+            # Trie compilation happens outside the write lock, one family at
+            # a time as write_delta reaches it — a concurrent writer only
+            # re-dirties a bucket, which the next delta re-saves.
+            buckets, families = self._family_rows(sorted(bucket_entries.items()))
             delta = DeltaSnapshot(
                 parent_fingerprint=parent,
                 fingerprint=fingerprint,
                 dictionary_version=version,
                 wal_seq=wal_seq,
                 documents=tuple(documents),
-                families=tuple(family.to_payload() for family in families),
-                buckets=tuple(buckets),
+                families=families,
+                buckets=buckets,
             )
             target = delta_path(directory, index)
             write_delta(target, delta)

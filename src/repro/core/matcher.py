@@ -510,12 +510,15 @@ class TrieFamilyRegistry:
     """Deduplicates trie compilation across buckets sharing one token sequence.
 
     Families are held weakly: a family stays alive exactly as long as some
-    compiled bucket (dictionary LRU, snapshot hydration list)
-    references it, so the registry never pins memory on its own.  The
+    compiled bucket (dictionary LRU, snapshot hydration list) or an
+    in-progress save references it, so the registry never pins memory on
+    its own.  A save asks for one family at a time and lets it go before
+    asking for the next, so saves no longer pin every family either.  The
     counters feed the compiled-cache stats surface — ``views`` counts every
-    bucket that attached to a family, ``families_created`` how many distinct
-    tries-sets were actually compiled or adopted; their difference is the
-    number of compilations the level-sharing saved.
+    request for a family (one per compiled bucket, one per family a save
+    writes), ``families_created`` how many distinct tries-sets were
+    actually compiled or adopted; their difference is the number of
+    compilations the level-sharing saved.
     """
 
     def __init__(self) -> None:

@@ -50,6 +50,14 @@ def _check_bound(name: str, value: object) -> None:
         raise PlatformError(f"{name} must be an ISO date string or None, got {value!r}")
 
 
+def _query_list(queries: str | Sequence[str]) -> tuple[str, ...]:
+    """One keyword or a sequence of them as a non-empty tuple."""
+    query_list = (queries,) if isinstance(queries, str) else tuple(queries)
+    if not query_list:
+        raise PlatformError("at least one query keyword is required")
+    return query_list
+
+
 def _in_range(post: dict[str, object], since: str | None, until: str | None) -> bool:
     day = post["created_at"]
     return (since is None or day >= since) and (until is None or day <= until)
@@ -176,25 +184,32 @@ class SocialPlatform:
         Posts come most recent first; posts of the same day come in ingest
         order.
         """
-        if isinstance(queries, str):
-            query_list: tuple[str, ...] = (queries,)
-        else:
-            query_list = tuple(queries)
-        if not query_list:
-            raise PlatformError("at least one query keyword is required")
+        query_list = _query_list(queries)
         _check_bound("since", since)
         _check_bound("until", until)
-        tokens = [query.lower() for query in query_list]
         with self._lock:
-            ids = {doc_id for token in tokens for doc_id in self._ids_by_token.get(token, ())}
+            ids = self._matching_ids(query_list)
             posts = [self._posts[doc_id - 1] for doc_id in sorted(ids)]
         matched = [post for post in posts if _in_range(post, since, until)]
         matched.sort(key=lambda post: post["created_at"], reverse=True)
         return SearchResult(queries=query_list, posts=tuple(_copies(matched[:limit])))
 
     def count_matching(self, queries: str | Sequence[str]) -> int:
-        """Number of posts matching any of the query tokens."""
-        return len(self.search(queries))
+        """Number of posts matching any of the query tokens.
+
+        Counts ``_id``\\ s in the token index; no post is read or copied.
+        """
+        query_list = _query_list(queries)
+        with self._lock:
+            return len(self._matching_ids(query_list))
+
+    def _matching_ids(self, queries: Sequence[str]) -> set[int]:
+        """``_id``\\ s of the posts holding any query token; caller holds the lock."""
+        return {
+            doc_id
+            for query in queries
+            for doc_id in self._ids_by_token.get(query.lower(), ())
+        }
 
     # ------------------------------------------------------------------ #
     # stream (Twitter-style)

@@ -72,7 +72,11 @@ def write_json_atomic(path: str | Path, payload: Any) -> Path:
 
 
 def read_json(path: str | Path) -> Any:
-    """Read one JSON document from ``path`` (the snapshot load hook)."""
+    """Read one JSON document from ``path`` (the snapshot load hook).
+
+    A missing or unreadable file, bytes that are not UTF-8, or text that is
+    not JSON raise :class:`~repro.errors.PersistenceError`.
+    """
     source = Path(path)
     if not source.exists():
         raise PersistenceError(f"no such file: {source}")
@@ -80,6 +84,8 @@ def read_json(path: str | Path) -> Any:
         text = source.read_text(encoding="utf-8")
     except OSError as exc:
         raise PersistenceError(f"failed to read {source}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise PersistenceError(f"{source}: not valid UTF-8: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -111,19 +117,29 @@ def iter_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
     """Yield the JSON object on each non-blank line of ``path``.
 
     The one JSONL reader, behind the CLI's ``tokens.jsonl`` load.  A missing
-    or unreadable file, a line that is not JSON, or a line holding anything
-    but an object raises :class:`~repro.errors.PersistenceError` naming the
-    file and line.
+    or unreadable file, a line that is not UTF-8 or not JSON, or a line
+    holding anything but an object raises
+    :class:`~repro.errors.PersistenceError` naming the file and line.
     """
     source = Path(path)
     if not source.exists():
         raise PersistenceError(f"no such file: {source}")
     try:
-        with source.open("r", encoding="utf-8") as handle:
+        # surrogateescape decodes a bad byte to a lone surrogate instead of
+        # failing the whole read-ahead chunk, so the check below can name
+        # the line that holds it.
+        with source.open("r", encoding="utf-8", errors="surrogateescape") as handle:
             for line_number, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:
                     continue
+                if not line.isascii():
+                    try:
+                        line.encode("utf-8")
+                    except UnicodeEncodeError as exc:
+                        raise PersistenceError(
+                            f"{source}:{line_number}: not valid UTF-8"
+                        ) from exc
                 try:
                     document = json.loads(line)
                 except json.JSONDecodeError as exc:

@@ -23,7 +23,12 @@ by the body on its own line::
 
 Keeping the body on one raw line lets the checksum be computed over the
 exact bytes on disk (one C-speed CRC pass) instead of re-serializing a
-multi-megabyte object graph on every load.  :func:`read_snapshot` refuses
+multi-megabyte object graph on every load.  The writer streams that line:
+it encodes the body piece by piece in key order, feeding each piece through
+the CRC into a temp file, and rewrites the fixed-width header at the end.
+A save hands it its trie families as :class:`LazyPayloads`, so only one
+family's tries and payload exist at a time, and the body never exists as
+one string.  :func:`read_snapshot` refuses
 anything with the wrong format version, a
 checksum mismatch, or a structurally malformed body by raising
 :class:`~repro.errors.SnapshotError`; callers that asked for a graceful load
@@ -48,12 +53,12 @@ import weakref
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..analysis.sanitizer import tracked_lock
 from ..errors import PersistenceError, SnapshotError, TornWrite
 from ..resilience.faults import FAULTS
-from .persistence import write_bytes_atomic, write_text_atomic
+from .persistence import write_bytes_atomic
 
 #: Version of the on-disk snapshot envelope/body layout.  Bump whenever the
 #: body structure or the trie node-row format changes; readers refuse other
@@ -75,9 +80,94 @@ SNAPSHOT_DIR_SUFFIX = ".d"
 SNAPSHOT_MANIFEST_NAME = "manifest.json"
 
 
+#: Elements of a list-valued body field encoded per ``json.dumps`` call.
+_ARRAY_CHUNK = 512
+
+
+def _checksum_hex(crc: int) -> str:
+    return format(crc & 0xFFFFFFFF, "08x")
+
+
 def snapshot_checksum(body_text: str) -> str:
     """CRC-32 (hex) over the serialized body line exactly as stored."""
-    return format(zlib.crc32(body_text.encode("utf-8")) & 0xFFFFFFFF, "08x")
+    return _checksum_hex(zlib.crc32(body_text.encode("utf-8")))
+
+
+def _envelope_header(checksum: str, version: int) -> bytes:
+    # The checksum is always 8 hex digits, so the header has a fixed width
+    # and can be rewritten in place once the body's CRC is known.
+    header = json.dumps({"checksum": checksum, "format_version": version}, sort_keys=True)
+    return (header + "\n").encode("utf-8")
+
+
+class LazyPayloads:
+    """Body items built one at a time, as the envelope writer reaches them.
+
+    ``build`` turns each of ``sources`` into one JSON-ready item.  Iterating
+    builds every item afresh and keeps none of them; ``len`` needs no build.
+    A save passes its trie families this way, so the family it is writing
+    is the only one whose tries and payload exist; ``tuple(payloads)`` is
+    the materialized form.
+    """
+
+    __slots__ = ("_build", "_sources")
+
+    def __init__(self, build: Callable[[Any], Any], sources: Sequence[Any]) -> None:
+        self._build = build
+        self._sources = sources
+
+    def __len__(self) -> int:
+        return len(self._sources)
+
+    def __iter__(self) -> Iterator[Any]:
+        return map(self._build, self._sources)
+
+
+def _write_canonical(
+    path: Path, body: Mapping[str, Any], write: Callable[[bytes], None]
+) -> None:
+    """Pass ``body``'s canonical JSON as UTF-8 to ``write``, piece by piece.
+
+    The pieces concatenate to ``json.dumps(body, ensure_ascii=False,
+    sort_keys=True, separators=(",", ":")).encode("utf-8")``.  Each piece
+    comes from one C-encoder ``json.dumps`` call: a list or tuple field is
+    encoded :data:`_ARRAY_CHUNK` elements at a time, a :class:`LazyPayloads`
+    field one item at a time, any other field whole.
+    """
+
+    def encode(value: Any) -> bytes:
+        try:
+            return json.dumps(
+                value, ensure_ascii=False, sort_keys=True, separators=(",", ":")
+            ).encode("utf-8")
+        except (TypeError, ValueError) as exc:  # ValueError: a lone surrogate
+            raise SnapshotError(
+                f"snapshot for {path} is not JSON-serializable: {exc}"
+            ) from exc
+
+    write(b"{")
+    for position, key in enumerate(sorted(body)):
+        write((b"," if position else b"") + encode(key) + b":")
+        value = body[key]
+        if isinstance(value, (list, tuple)):
+            write(b"[")
+            for start in range(0, len(value), _ARRAY_CHUNK):
+                chunk = encode(value[start : start + _ARRAY_CHUNK])[1:-1]
+                write((b"," if start else b"") + chunk)
+            write(b"]")
+        elif isinstance(value, LazyPayloads):
+            write(b"[")
+            separator = b""
+            for item in value:
+                write(separator + encode(item))
+                separator = b","
+                # Unbind before the next item is built, so two items are
+                # never alive at once.
+                del item
+            write(b"]")
+        else:
+            write(encode(value))
+    write(b"}")
 
 
 def write_envelope(
@@ -91,37 +181,64 @@ def write_envelope(
     snapshots, the WAL subsystem's delta snapshots, and the v2 manifest —
     which passes its own ``version``): one header line carrying the checksum
     and format version, one raw body line the checksum covers byte for byte.
+
+    The body line is canonical JSON (sorted keys, no spaces), streamed: it
+    goes through ``zlib.crc32`` into ``<path>.tmp`` piece by piece (see
+    :func:`_write_canonical`), the header is rewritten in place once the
+    CRC is known, and the temp file is renamed over ``path``.  Peak memory
+    is ``body``'s own objects plus one piece, never the whole body string:
+    with a :class:`LazyPayloads` field, not even the whole body.  A field
+    that fails to encode, or a failed write, removes the temp file and
+    leaves ``path`` as it was; both raise
+    :class:`~repro.errors.SnapshotError`.
+
+    The ``snapshot.write`` fault point fires once, after the body is
+    written: an injected ``OSError`` fails the save the same way, and a
+    :class:`~repro.errors.TornWrite` renames the first ``keep_bytes`` bytes
+    (half the file by default) over ``path`` and raises.
     """
+    target = Path(path)
+    scratch = target.with_name(target.name + ".tmp")
+    crc = 0
     try:
-        body_text = json.dumps(
-            body, ensure_ascii=False, sort_keys=True, separators=(",", ":")
-        )
-    except (TypeError, ValueError) as exc:
-        raise SnapshotError(f"snapshot for {path} is not JSON-serializable: {exc}") from exc
-    header = json.dumps(
-        {"checksum": snapshot_checksum(body_text), "format_version": version},
-        sort_keys=True,
-    )
-    text = header + "\n" + body_text + "\n"
-    if FAULTS.armed:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        with open(scratch, "wb") as handle:
+            handle.write(_envelope_header(_checksum_hex(0), version))
+
+            def write(data: bytes) -> None:
+                nonlocal crc
+                crc = zlib.crc32(data, crc)
+                handle.write(data)
+
+            _write_canonical(target, body, write)
+            handle.write(b"\n")
+            size = handle.tell()
+            handle.seek(0)
+            handle.write(_envelope_header(_checksum_hex(crc), version))
+        if FAULTS.armed:
+            try:
+                FAULTS.hit("snapshot.write")
+            except TornWrite as fault:
+                # Cooperative torn write: land a genuinely truncated envelope
+                # for checksum validation to catch, bypassing atomicity.
+                keep = fault.keep_bytes if fault.keep_bytes is not None else size // 2
+                keep = max(0, min(keep, size - 1))
+                os.truncate(scratch, keep)
+                os.replace(scratch, target)
+                raise SnapshotError(
+                    f"injected torn write: {keep} of {size} bytes reached "
+                    f"{path} before the simulated crash"
+                ) from fault
+        os.replace(scratch, target)
+    except BaseException as exc:
         try:
-            FAULTS.hit("snapshot.write")
-        except TornWrite as fault:
-            # Cooperative torn write: bypass the atomic rename and leave a
-            # genuinely truncated envelope for checksum validation to catch.
-            keep = fault.keep_bytes if fault.keep_bytes is not None else len(text) // 2
-            keep = max(0, min(keep, len(text) - 1))
-            Path(path).write_text(text[:keep], encoding="utf-8")
-            raise SnapshotError(
-                f"injected torn write: {keep} of {len(text)} bytes reached "
-                f"{path} before the simulated crash"
-            ) from fault
-        except OSError as exc:
-            raise SnapshotError(f"failed to write {path}: {exc}") from exc
-    try:
-        return write_text_atomic(path, text)
-    except PersistenceError as exc:
-        raise SnapshotError(str(exc)) from exc
+            scratch.unlink()
+        except OSError:  # lint: allow=swallowed-exception (best-effort cleanup)
+            pass
+        if isinstance(exc, OSError):
+            raise SnapshotError(f"failed to write {target}: {exc}") from exc
+        raise
+    return target
 
 
 def read_envelope(
@@ -129,24 +246,29 @@ def read_envelope(
 ) -> dict[str, Any]:
     """Read and validate a two-line envelope; returns the parsed body.
 
+    The file is read once, as bytes: the checksum runs over the body bytes
+    in place, and only the body is decoded (strict UTF-8) for parsing.
     Raises :class:`~repro.errors.SnapshotError` when the file is missing,
-    unparseable, carries a format version other than ``version``, or fails
-    its checksum.
+    unreadable, not UTF-8, unparseable, carries a format version other than
+    ``version``, or fails its checksum.
     """
     source = Path(path)
     if not source.exists():
         raise SnapshotError(f"no such file: {source}")
     try:
-        text = source.read_text(encoding="utf-8")
+        data = source.read_bytes()
     except OSError as exc:
         raise SnapshotError(f"failed to read {source}: {exc}") from exc
-    header_text, separator, body_text = text.partition("\n")
-    if not separator:
+    newline = data.find(b"\n")
+    if newline < 0:
         raise SnapshotError(f"{source}: snapshot must be a two-line envelope")
-    body_text = body_text.rstrip("\n")
+    end = len(data)
+    while end > newline + 1 and data[end - 1] in b"\r\n":
+        end -= 1
+    body_bytes = memoryview(data)[newline + 1 : end]
     try:
-        header = json.loads(header_text)
-    except json.JSONDecodeError as exc:
+        header = json.loads(data[:newline].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SnapshotError(f"{source}: invalid snapshot header: {exc}") from exc
     if not isinstance(header, Mapping):
         raise SnapshotError(f"{source}: snapshot header must be a JSON object")
@@ -157,14 +279,14 @@ def read_envelope(
             f"supported (expected {version})"
         )
     recorded = header.get("checksum")
-    actual = snapshot_checksum(body_text)
+    actual = _checksum_hex(zlib.crc32(body_bytes))
     if recorded != actual:
         raise SnapshotError(
             f"{source}: checksum mismatch (recorded {recorded!r}, computed {actual!r})"
         )
     try:
-        body = json.loads(body_text)
-    except json.JSONDecodeError as exc:
+        body = json.loads(str(body_bytes, "utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SnapshotError(f"{source}: invalid snapshot body: {exc}") from exc
     if not isinstance(body, dict):
         raise SnapshotError(f"{source}: snapshot body must be a JSON object")
@@ -184,7 +306,9 @@ class Snapshot:
     fingerprint: str
     config: Mapping[str, Any] = field(default_factory=dict)
     documents: tuple[Mapping[str, Any], ...] = ()
-    families: tuple[Mapping[str, Any], ...] = ()
+    #: Family payloads: a tuple, or — in a snapshot a save only writes —
+    #: :class:`LazyPayloads` the envelope writer builds one at a time.
+    families: "tuple[Mapping[str, Any], ...] | LazyPayloads" = ()
     buckets: tuple[tuple[int, str, int], ...] = ()
     #: Sequence number of the last change-log record this snapshot covers.
     #: Crash recovery replays only WAL records *after* this position; 0
@@ -198,14 +322,18 @@ class Snapshot:
         return tuple(sorted({level for level, _, _ in self.buckets}))
 
     def body(self) -> dict[str, Any]:
-        """The checksummed payload written as the envelope's body line."""
+        """The checksummed payload written as the envelope's body line.
+
+        Fields are passed through, not copied (JSON writes a tuple as an
+        array), so lazy families stay lazy until the writer reaches them.
+        """
         return {
             "dictionary_version": self.dictionary_version,
             "fingerprint": self.fingerprint,
             "config": dict(self.config),
-            "documents": list(self.documents),
-            "families": list(self.families),
-            "buckets": [list(bucket) for bucket in self.buckets],
+            "documents": self.documents,
+            "families": self.families,
+            "buckets": self.buckets,
             "wal_seq": self.wal_seq,
         }
 
@@ -252,7 +380,11 @@ class Snapshot:
 
 
 def write_snapshot(path: str | Path, snapshot: Snapshot) -> Path:
-    """Persist ``snapshot`` atomically; returns the path written."""
+    """Persist ``snapshot`` atomically; returns the path written.
+
+    Streams through :func:`write_envelope`, so a snapshot whose families
+    are :class:`LazyPayloads` is written one family at a time.
+    """
     return write_envelope(path, snapshot.body())
 
 

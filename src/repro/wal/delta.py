@@ -19,8 +19,9 @@ exactly the dirty slice:
   wrong tries.
 
 On disk a delta uses the same checksummed two-line envelope as a full
-snapshot (:func:`repro.storage.snapshot.write_envelope`) with a ``kind``
-marker, named ``dictionary.delta-NNNN.json`` next to the base file.
+snapshot (:func:`repro.storage.snapshot.write_envelope`, which streams it)
+with a ``kind`` marker, named ``dictionary.delta-NNNN.json`` next to the
+base file.
 :func:`resolve_snapshot_chain` folds base + deltas into one in-memory
 :class:`~repro.storage.snapshot.Snapshot`; :func:`compact_chain` writes that
 merged snapshot back as the new base and removes the delta files.
@@ -37,6 +38,7 @@ from ..errors import SnapshotError
 from ..storage.snapshot import (
     SNAPSHOT_FILE_NAME,
     SNAPSHOT_MANIFEST_NAME,
+    LazyPayloads,
     MappedSnapshot,
     Snapshot,
     open_sharded_snapshot,
@@ -92,8 +94,10 @@ class DeltaSnapshot:
 
     Shapes mirror :class:`~repro.storage.snapshot.Snapshot`: ``documents``
     are full documents (upserted by ``_id`` at resolution), ``families`` are
-    opaque trie payloads, ``buckets`` rows are ``(level, key, family_index)``
-    with ``family_index`` addressing *this delta's* family list.
+    opaque trie payloads (a tuple, or the
+    :class:`~repro.storage.snapshot.LazyPayloads` of a delta being saved),
+    ``buckets`` rows are ``(level, key, family_index)`` with
+    ``family_index`` addressing *this delta's* family list.
     """
 
     parent_fingerprint: str
@@ -101,21 +105,21 @@ class DeltaSnapshot:
     dictionary_version: int
     wal_seq: int = 0
     documents: tuple[Mapping[str, Any], ...] = ()
-    families: tuple[Mapping[str, Any], ...] = ()
+    families: "tuple[Mapping[str, Any], ...] | LazyPayloads" = ()
     buckets: tuple[tuple[int, str, int], ...] = ()
     config: Mapping[str, Any] = field(default_factory=dict)
 
     def body(self) -> dict[str, Any]:
-        """The checksummed envelope body."""
+        """The checksummed envelope body (fields passed through, not copied)."""
         return {
             "kind": "delta",
             "parent_fingerprint": self.parent_fingerprint,
             "fingerprint": self.fingerprint,
             "dictionary_version": self.dictionary_version,
             "wal_seq": self.wal_seq,
-            "documents": list(self.documents),
-            "families": list(self.families),
-            "buckets": [list(bucket) for bucket in self.buckets],
+            "documents": self.documents,
+            "families": self.families,
+            "buckets": self.buckets,
             "config": dict(self.config),
         }
 
@@ -155,7 +159,11 @@ class DeltaSnapshot:
 
 
 def write_delta(path: str | Path, delta: DeltaSnapshot) -> Path:
-    """Persist one delta atomically inside the standard envelope."""
+    """Persist one delta atomically inside the standard envelope.
+
+    Streams like :func:`~repro.storage.snapshot.write_snapshot`: lazy
+    families are built and written one at a time.
+    """
     return write_envelope(path, delta.body())
 
 

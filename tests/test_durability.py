@@ -293,6 +293,42 @@ class TestCrashRecovery:
         assert report.replayed_records > 0
         _assert_equivalent(fresh, recovered)
 
+    def test_delta_with_an_invalid_utf8_byte_degrades_to_base_plus_replay(
+        self, tmp_path
+    ):
+        dictionary = _journaled_dictionary(tmp_path)
+        dictionary.add_corpus(CORPUS, source="test")
+        dictionary.save_snapshot(tmp_path / SNAPSHOT_FILE_NAME)
+        dictionary.add_text(LATER[0], source="later")
+        dictionary.save_snapshot(tmp_path / SNAPSHOT_FILE_NAME, incremental=True)
+        delta_file = list_delta_paths(tmp_path)[0]
+        data = bytearray(delta_file.read_bytes())
+        data[len(data) // 2] = 0xFF
+        delta_file.write_bytes(bytes(data))
+        with pytest.raises(SnapshotError, match="checksum"):
+            read_delta(delta_file)
+        recovered = PerturbationDictionary(config=CONFIG)
+        report = recovered.recover(tmp_path)
+        assert report.loaded and report.deltas_applied == 0
+        assert any("checksum" in reason for reason in report.degraded)
+        _assert_equivalent(dictionary, recovered)
+
+    def test_base_with_an_invalid_utf8_byte_degrades_to_replay(self, tmp_path):
+        dictionary = _journaled_dictionary(tmp_path)
+        dictionary.add_corpus(CORPUS, source="test")
+        dictionary.save_snapshot(tmp_path / SNAPSHOT_FILE_NAME)
+        dictionary.add_text(LATER[0], source="later")
+        base = tmp_path / SNAPSHOT_FILE_NAME
+        data = bytearray(base.read_bytes())
+        data[len(data) // 2] = 0xFF
+        base.write_bytes(bytes(data))
+        recovered = PerturbationDictionary(config=CONFIG)
+        report = recovered.recover(tmp_path)
+        assert not report.loaded and report.degraded
+        # The full save truncated nothing (no maintenance ran), so the log
+        # still holds every write.
+        _assert_equivalent(dictionary, recovered)
+
     def test_write_landing_mid_save_is_never_lost(self, tmp_path, monkeypatch):
         """A token re-dirtied while a delta save is serializing must stay
         dirty — the save's completion must not subtract it away."""
@@ -705,6 +741,35 @@ class TestServiceSurface:
         token = service.issue_token("ops", scopes={"admin"}).token
         assert service.maintenance_status(token).status == 409
         assert service.maintenance_trigger(token).status == 409
+
+    def test_snapshot_load_route_answers_409_for_an_invalid_utf8_byte(
+        self, service_and_token, tmp_path
+    ):
+        import asyncio
+
+        from repro.api.async_service import AsyncCrypTextService
+
+        service, token = service_and_token
+        path = tmp_path / "side" / SNAPSHOT_FILE_NAME
+        assert service.snapshot_save(token, path=str(path)).ok
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] = 0xFF
+        path.write_bytes(bytes(data))
+        before = service.cryptext.dictionary.content_fingerprint()
+        front = AsyncCrypTextService(service, reader_threads=1)
+
+        async def scenario():
+            try:
+                return await front.dispatch(
+                    "PUT", "/v1/admin/snapshot", token, {"path": str(path)}
+                )
+            finally:
+                await front.stop()
+
+        response = asyncio.run(scenario())
+        assert response.status == 409, response.body
+        assert response.body["snapshot"]["loaded"] is False
+        assert service.cryptext.dictionary.content_fingerprint() == before
 
     def test_incremental_snapshot_save_endpoint(self, service_and_token, tmp_path):
         service, token = service_and_token

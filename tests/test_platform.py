@@ -126,6 +126,37 @@ class TestSearch:
     def test_count_matching(self, platform):
         assert platform.count_matching("republicans") == 1
 
+    @pytest.mark.parametrize(
+        "queries",
+        [
+            ["Democrats", "DEM0CRATS", "democrats"],
+            ["REPUBLICANS", "The", "zebra"],
+            ("Vaccine", "GARDEN"),
+            "The",
+        ],
+    )
+    def test_count_matching_equals_search_length(self, platform, queries):
+        assert platform.count_matching(queries) == len(platform.search(queries))
+
+    def test_count_matching_reads_the_index_without_copying(
+        self, twitter_platform, monkeypatch
+    ):
+        import repro.social.platform as platform_module
+
+        queries = ["The", "VACCINE", "democrats", "Dem0crats"]
+        expected = len(twitter_platform.search(queries))
+        assert expected > 0
+
+        def no_copies(posts):
+            raise AssertionError("count_matching copied posts")
+
+        monkeypatch.setattr(platform_module, "_copies", no_copies)
+        assert twitter_platform.count_matching(queries) == expected
+
+    def test_count_matching_rejects_an_empty_query(self, platform):
+        with pytest.raises(PlatformError):
+            platform.count_matching([])
+
 
 class TestStream:
     def test_stream_batches_in_order(self, platform):

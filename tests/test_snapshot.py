@@ -9,8 +9,12 @@ a crash.
 
 from __future__ import annotations
 
+import gc
 import json
 import string
+import tracemalloc
+import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,8 +25,10 @@ from repro.core.dictionary import PerturbationDictionary
 from repro.core.lookup import LookupEngine
 from repro.errors import DictionaryError, SnapshotError
 from repro.storage import (
+    SNAPSHOT_FILE_NAME,
     SNAPSHOT_FORMAT_VERSION,
     read_snapshot,
+    write_envelope,
     write_snapshot,
 )
 
@@ -182,6 +188,41 @@ class TestCorruptionAndVersioning:
             snapshot_path
         )
         assert not report.loaded and "checksum" in report.reason
+
+    def test_invalid_utf8_byte_falls_back(self, snapshot_path):
+        dictionary = build_dictionary()
+        dictionary.save_snapshot(snapshot_path)
+        data = bytearray(snapshot_path.read_bytes())
+        data[len(data) // 2] = 0xFF
+        snapshot_path.write_bytes(bytes(data))
+        with pytest.raises(SnapshotError, match="checksum"):
+            read_snapshot(snapshot_path)
+        fresh = PerturbationDictionary(config=CrypTextConfig())
+        report = fresh.load_snapshot(snapshot_path)
+        assert not report.loaded and "checksum" in report.reason
+        assert len(fresh) == 0
+        with pytest.raises(SnapshotError):
+            fresh.load_snapshot(snapshot_path, strict=True)
+
+    def test_body_that_is_not_utf8_is_refused_despite_its_checksum(
+        self, snapshot_path
+    ):
+        dictionary = build_dictionary()
+        dictionary.save_snapshot(snapshot_path)
+        header, body = snapshot_path.read_bytes().split(b"\n", 1)
+        body = body.rstrip(b"\n").replace(b"vacc1ne", b"vacc\xffne", 1)
+        checksum = format(zlib.crc32(body) & 0xFFFFFFFF, "08x")
+        header = json.dumps(
+            {"checksum": checksum, "format_version": SNAPSHOT_FORMAT_VERSION},
+            sort_keys=True,
+        ).encode("utf-8")
+        snapshot_path.write_bytes(header + b"\n" + body + b"\n")
+        with pytest.raises(SnapshotError, match="invalid snapshot body"):
+            read_snapshot(snapshot_path)
+        report = PerturbationDictionary(config=CrypTextConfig()).load_snapshot(
+            snapshot_path
+        )
+        assert not report.loaded
 
     def test_foreign_format_version_falls_back(self, snapshot_path):
         dictionary = build_dictionary()
@@ -565,3 +606,211 @@ class TestCompiledCacheCounters:
         stats = dictionary.trie_families.stats()
         assert stats["families_created"] < stats["views"]
         assert stats["families_shared"] > 0
+
+
+def _one_string_envelope(body, version=SNAPSHOT_FORMAT_VERSION) -> bytes:
+    """The reference envelope: the whole body encoded as one string.
+
+    How every save was encoded before saves streamed; a streamed save must
+    write exactly these bytes.
+    """
+    body_text = json.dumps(
+        body, ensure_ascii=False, sort_keys=True, separators=(",", ":")
+    )
+    checksum = format(zlib.crc32(body_text.encode("utf-8")) & 0xFFFFFFFF, "08x")
+    header = json.dumps(
+        {"checksum": checksum, "format_version": version}, sort_keys=True
+    )
+    return (header + "\n" + body_text + "\n").encode("utf-8")
+
+
+def _save_chain_and_compare(dictionary, directory, later_texts, monkeypatch):
+    """Full save, one delta per text and a compaction, each byte-compared
+    with the one-string encoding of the same in-memory snapshot."""
+    import repro.wal.delta as delta_module
+    from repro.wal.delta import compact_chain, delta_path
+
+    base = directory / SNAPSHOT_FILE_NAME
+    dictionary.save_snapshot(base)
+    reference = dictionary.build_snapshot()
+    assert base.read_bytes() == _one_string_envelope(reference.body())
+
+    written = []
+    real_write_delta = delta_module.write_delta
+
+    def capture(path, delta):
+        result = real_write_delta(path, delta)
+        written.append(replace(delta, families=tuple(delta.families)))
+        return result
+
+    monkeypatch.setattr(delta_module, "write_delta", capture)
+    index = 0
+    for text in later_texts:
+        dictionary.learn_batch([text], source="later")
+        report = dictionary.save_snapshot(base, incremental=True)
+        if report.delta_index is None:
+            continue  # nothing in the text was learnable
+        index += 1
+        assert report.delta_index == index
+        delta = written[-1]
+        assert delta_path(directory, index).read_bytes() == _one_string_envelope(
+            delta.body()
+        )
+        # Each delta family is the family a full snapshot holds for the
+        # same bucket.
+        full = dictionary.build_snapshot()
+        full_rows = {(level, key): row for level, key, row in full.buckets}
+        for level, key, row in delta.buckets:
+            assert delta.families[row] == full.families[full_rows[(level, key)]]
+    monkeypatch.setattr(delta_module, "write_delta", real_write_delta)
+
+    chain = compact_chain(directory)
+    assert chain.deltas_applied == index
+    assert base.read_bytes() == _one_string_envelope(chain.snapshot.body())
+
+
+class TestStreamedSaves:
+    """Saves stream one trie family at a time and write the same bytes."""
+
+    json_values = st.recursive(
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.text(alphabet="ab\u00e9\u00df\u2028\"\\\n", max_size=4),
+        lambda children: st.lists(children, max_size=3)
+        | st.dictionaries(st.text(alphabet="xyz\u00e9", max_size=2), children, max_size=3),
+        max_leaves=8,
+    )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.dictionaries(
+            st.sampled_from(["buckets", "config", "documents", "kind", "wal_seq"]),
+            json_values,
+        ),
+        st.lists(json_values, max_size=7),
+    )
+    def test_write_envelope_matches_the_one_string_encoder(
+        self, tmp_path_factory, body, lazy_items
+    ):
+        from repro.storage import snapshot as snapshot_module
+
+        path = tmp_path_factory.mktemp("envelope") / "body.json"
+        streamed = dict(body)
+        streamed["families"] = snapshot_module.LazyPayloads(lambda item: item, lazy_items)
+        with pytest.MonkeyPatch.context() as patch:
+            # Small chunks put array boundaries inside every list field.
+            patch.setattr(snapshot_module, "_ARRAY_CHUNK", 2)
+            write_envelope(path, streamed)
+        assert path.read_bytes() == _one_string_envelope({**body, "families": lazy_items})
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.lists(
+            st.text(alphabet=string.ascii_letters + "013@-\u00e9\u00f8\u00df", min_size=2, max_size=9),
+            min_size=2,
+            max_size=30,
+        ),
+    )
+    def test_random_dictionaries_stream_the_same_bytes(
+        self, tmp_path_factory, tokens
+    ):
+        directory = tmp_path_factory.mktemp("chain")
+        half = len(tokens) // 2
+        dictionary = PerturbationDictionary(config=CrypTextConfig(cache_enabled=False))
+        dictionary.learn_batch([" ".join(tokens[:half])], source="first")
+        with pytest.MonkeyPatch.context() as patch:
+            _save_chain_and_compare(
+                dictionary,
+                directory,
+                [" ".join(tokens[half:]), " ".join(tokens[::3])],
+                patch,
+            )
+
+    def test_golden_corpus_streams_the_same_bytes(self, tmp_path, monkeypatch):
+        from tests.test_golden_regression import GOLDEN_BUILD_CORPUS, GOLDEN_INPUTS
+
+        system = CrypText.from_corpus(GOLDEN_BUILD_CORPUS, train_scorer=False)
+        # A warm compiled-bucket LRU keeps some families alive across the
+        # save; their tries must serialize the same.
+        for text in GOLDEN_INPUTS[:5]:
+            system.look_up(text.split()[1])
+        _save_chain_and_compare(
+            system.dictionary, tmp_path, GOLDEN_INPUTS[5:8], monkeypatch
+        )
+
+    @pytest.mark.parametrize("failure", ["unencodable family", "injected OSError"])
+    def test_failed_save_leaves_files_and_dirty_state(
+        self, tmp_path, monkeypatch, failure
+    ):
+        from repro.resilience.faults import FAULTS
+
+        dictionary = build_dictionary(CrypTextConfig(cache_enabled=False))
+        base = tmp_path / SNAPSHOT_FILE_NAME
+        dictionary.save_snapshot(base)
+        before = base.read_bytes()
+        dictionary.learn_batch(["fresh vacc1nes and demokrats tonight"], source="w")
+        real_payload = PerturbationDictionary._family_payload
+        calls = []
+
+        def second_family_breaks(self, entries):
+            calls.append(entries)
+            payload = real_payload(self, entries)
+            return {**payload, "bad": object()} if len(calls) == 2 else payload
+
+        if failure == "unencodable family":
+            monkeypatch.setattr(
+                PerturbationDictionary, "_family_payload", second_family_breaks
+            )
+            expected = "not JSON-serializable"
+        else:
+            expected = "failed to write"
+        try:
+            for incremental in (True, False):
+                calls.clear()
+                if failure == "injected OSError":
+                    FAULTS.arm("snapshot.write", fail=1)
+                with pytest.raises(SnapshotError, match=expected):
+                    dictionary.save_snapshot(base, incremental=incremental)
+                assert base.read_bytes() == before
+                assert sorted(path.name for path in tmp_path.iterdir()) == [
+                    SNAPSHOT_FILE_NAME
+                ]
+        finally:
+            FAULTS.reset()
+        monkeypatch.undo()
+        # The dirty sets survived both failures: the delta carries the write.
+        report = dictionary.save_snapshot(base, incremental=True)
+        assert report.delta_index == 1 and report.documents > 0
+        recovered = PerturbationDictionary(config=CrypTextConfig(cache_enabled=False))
+        assert recovered.recover(tmp_path).deltas_applied == 1
+        assert recovered.token_counts() == dictionary.token_counts()
+
+    def test_full_save_peak_memory_is_one_family_not_the_snapshot(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+        from bench_cold_start import build_dictionary as build_bench_dictionary
+
+        dictionary = build_bench_dictionary(
+            10_000, 20230116, CrypTextConfig(cache_enabled=False)
+        )
+
+        def traced_peak(run) -> int:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def materialize_and_encode():
+            body = dictionary.build_snapshot().body()
+            json.dumps(body, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+
+        save_peak = traced_peak(
+            lambda: dictionary.save_snapshot(tmp_path / SNAPSHOT_FILE_NAME)
+        )
+        reference_peak = traced_peak(materialize_and_encode)
+        assert save_peak <= 0.25 * reference_peak, (save_peak, reference_peak)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import PersistenceError
-from repro.storage import iter_jsonl, write_jsonl
+from repro.storage import iter_jsonl, read_json, write_jsonl
 
 
 @pytest.fixture()
@@ -54,6 +54,29 @@ class TestDumpLoadCollection:
         path.write_text('{"ok": 1}\nnot json\n', encoding="utf-8")
         with pytest.raises(PersistenceError, match=r"bad\.jsonl:2: invalid JSON"):
             list(iter_jsonl(path))
+
+    def test_load_line_that_is_not_utf8(self, tmp_path):
+        # The bad byte sits far past the reader's first read-ahead chunk, so
+        # the error must still name its own line, after every line before it
+        # was served.
+        good = [f'{{"token": "t{index}", "note": "caf\u00e9"}}' for index in range(600)]
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(
+            ("\n".join(good[:500]) + "\n").encode("utf-8")
+            + b'{"token": "br\xff"}\n'
+            + ("\n".join(good[500:]) + "\n").encode("utf-8")
+        )
+        served = []
+        with pytest.raises(PersistenceError, match=r"bad\.jsonl:501: not valid UTF-8"):
+            for document in iter_jsonl(path):
+                served.append(document)
+        assert len(served) == 500 and served[-1]["note"] == "caf\u00e9"
+
+    def test_read_json_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"token": "br\xff"}')
+        with pytest.raises(PersistenceError, match="not valid UTF-8"):
+            read_json(path)
 
     def test_load_non_object_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
