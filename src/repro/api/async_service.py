@@ -53,6 +53,7 @@ from ..obs.registry import OBS, QUEUE_WAIT_SECONDS
 from ..obs.trace import current_trace
 from ..resilience.faults import FAULTS
 from ..resilience.policies import Deadline
+from ..text.unicode_fold import has_surrogate
 from .service import CrypTextService, ServiceResponse
 
 _REASONS = {
@@ -95,6 +96,20 @@ LINGER_SECONDS = 1.0
 def _refuse(message: str) -> tuple[ServiceResponse, bool]:
     """A 400 that closes the connection."""
     return ServiceResponse(status=400, body={"error": message}), False
+
+
+def _encode_body(response: ServiceResponse) -> tuple[bytes, str]:
+    """The wire bytes and content type of ``response``'s body.
+
+    A raw-text response (the Prometheus scrape) is served verbatim with the
+    exposition content type; every other body is JSON.
+    """
+    if response.text is not None:
+        return response.text.encode("utf-8"), _METRICS_CONTENT_TYPE
+    return (
+        json.dumps(response.body, ensure_ascii=False).encode("utf-8"),
+        "application/json",
+    )
 
 
 async def _linger(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
@@ -402,14 +417,17 @@ class AsyncCrypTextService:
                 if result is None:
                     break  # clean EOF before a request line
                 response, keep_alive = result
-                if response.text is not None:
-                    # A raw-text response (the Prometheus scrape) is served
-                    # verbatim with the exposition content type.
-                    data = response.text.encode("utf-8")
-                    content_type = _METRICS_CONTENT_TYPE
-                else:
-                    data = json.dumps(response.body, ensure_ascii=False).encode("utf-8")
-                    content_type = "application/json"
+                try:
+                    data, content_type = _encode_body(response)
+                except (TypeError, ValueError):
+                    # A body JSON or UTF-8 cannot carry (UnicodeEncodeError
+                    # is a ValueError) answers 500 and closes, instead of
+                    # escaping this loop and dropping the connection.
+                    response = ServiceResponse(
+                        status=500, body={"error": "response could not be encoded"}
+                    )
+                    data, content_type = _encode_body(response)
+                    keep_alive = False
                 reason = _REASONS.get(response.status, "Unknown")
                 extra = "".join(
                     f"{name}: {value}\r\n" for name, value in response.headers.items()
@@ -514,6 +532,12 @@ class AsyncCrypTextService:
                 # plain HTTP clients expect error responses to end the
                 # exchange, and it keeps misbehaving peers from parking.
                 return _refuse("request body is not valid JSON")
+            # Only a ``\u`` escape puts a surrogate code point in decoded
+            # JSON (the UTF-8 decode refuses raw ones), and no answer that
+            # echoes one could be encoded.  A paired escape decodes to one
+            # character and passes.
+            if b"\\u" in raw and has_surrogate(json.dumps(payload, ensure_ascii=False)):
+                return _refuse("request body holds an unpaired surrogate escape")
         return await self.dispatch(method, path, token, payload), keep_alive
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:

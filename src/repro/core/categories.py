@@ -25,12 +25,14 @@ only a subset of the taxonomy).
 
 from __future__ import annotations
 
+import re
 from enum import Enum
+from typing import NamedTuple
 
 from ..text.charmap import (
     LEET_SUBSTITUTIONS,
     VISUAL_EQUIVALENTS,
-    is_word_internal_separator,
+    WORD_INTERNAL_SEPARATORS,
     strip_word_internal_separators,
 )
 from ..text.unicode_fold import fold_text
@@ -70,6 +72,22 @@ HUMAN_DISTINCTIVE_CATEGORIES: frozenset[PerturbationCategory] = frozenset(
 )
 
 
+#: The endings the emoticon rule recognises, and the characters it strips
+#: from the end of a decorated token.
+_EMOTICON_CORES = (":)", ":(", "<3", ";)")
+_EMOTICON_TAIL = ":;()<3-^_ "
+
+#: Two equal characters in a row (``re.DOTALL``: newlines repeat too).
+_REPEAT = re.compile(r"(.)\1", re.DOTALL)
+
+#: The ASCII characters that are leet as written or once lowercased.
+_ASCII_LEET: frozenset[str] = frozenset(
+    char
+    for char in map(chr, range(128))
+    if char.lower() in VISUAL_EQUIVALENTS or char in VISUAL_EQUIVALENTS
+)
+
+
 def _collapse_repeats(text: str) -> str:
     """Collapse runs of the same character to a single occurrence."""
     collapsed: list[str] = []
@@ -79,22 +97,81 @@ def _collapse_repeats(text: str) -> str:
     return "".join(collapsed)
 
 
-def _has_emphasis_capitalization(original: str, perturbed: str) -> bool:
-    """Detect embedded-uppercase emphasis ("democRATs")."""
-    if perturbed.lower() != original.lower():
-        return False
-    if perturbed == original:
-        return False
-    # Emphasis means a run of uppercase letters strictly inside the token
-    # (all-caps or capitalized-first-letter variants are ordinary styling).
-    if perturbed.isupper() or perturbed == original.capitalize():
-        return False
-    inner = perturbed[1:]
-    return any(ch.isupper() for ch in inner)
+class TokenFeatures(NamedTuple):
+    """The one-sided facts the classifier reads about one string.
+
+    Built by :func:`token_features`.  Look Up keeps one per dictionary
+    entry (:attr:`~repro.core.dictionary.DictionaryEntry.features`) and one
+    per query, so a pair is classified without scanning either string again.
+    A named tuple: immutable, as a record shared by every reader of its
+    entry must be, and several times cheaper to build than a frozen
+    dataclass, whose ``__init__`` pays an ``object.__setattr__`` per field.
+    """
+
+    text: str
+    #: ``text.lower()``.
+    lower: str
+    #: A word-internal separator inside ``text[1:-1]``.
+    has_separator: bool
+    #: A character of ``text`` that is, or lowercases to, a leet character.
+    has_leet: bool
+    #: ``text`` changes under :func:`~repro.text.unicode_fold.fold_text`.
+    has_accent: bool
+    #: ``lower`` without word-internal separators.
+    stripped: str
+    #: ``lower`` with every run of one character collapsed to one.
+    collapsed: str
+    #: ``text.isupper()``.
+    is_upper: bool
+    #: An uppercase character after the first.
+    inner_upper: bool
+    #: ``lower`` minus a trailing emoticon; ``None`` when it ends in none.
+    emoticon_stripped: str | None
+    #: ``fold_text(lower)`` when ``has_accent``, else ``None``.
+    folded: str | None
 
 
-def _has_leet(perturbed: str) -> bool:
-    return any(ch.lower() in VISUAL_EQUIVALENTS or ch in VISUAL_EQUIVALENTS for ch in perturbed)
+def token_features(text: str, lower: str | None = None) -> TokenFeatures:
+    """Compute the :class:`TokenFeatures` of ``text``.
+
+    ``lower`` is ``text.lower()`` when the caller holds it already; the
+    record keeps that object.  A transform that changes nothing keeps
+    ``lower`` itself rather than an equal copy, so a cached record costs
+    little beyond its own slots.  The flags read the raw ``text``, not
+    ``lower``: ``"İ".lower()`` is two characters.
+    """
+    if lower is None:
+        lower = text.lower()
+    if text.isascii():
+        # ASCII lowercases character by character, so a changed tail means
+        # an uppercase letter in it.
+        has_leet = not _ASCII_LEET.isdisjoint(text)
+        has_accent = False
+        inner_upper = text[1:] != lower[1:]
+    else:
+        has_leet = any(
+            char.lower() in VISUAL_EQUIVALENTS or char in VISUAL_EQUIVALENTS
+            for char in text
+        )
+        has_accent = fold_text(text) != text
+        inner_upper = any(map(str.isupper, text[1:]))
+    return TokenFeatures(
+        text,
+        lower,
+        len(text) > 2 and not WORD_INTERNAL_SEPARATORS.isdisjoint(text[1:-1]),
+        has_leet,
+        has_accent,
+        (
+            strip_word_internal_separators(lower)
+            if not WORD_INTERNAL_SEPARATORS.isdisjoint(lower)
+            else lower
+        ),
+        _collapse_repeats(lower) if _REPEAT.search(lower) else lower,
+        text.isupper(),
+        inner_upper,
+        lower.rstrip(_EMOTICON_TAIL) if lower.endswith(_EMOTICON_CORES) else None,
+        fold_text(lower) if has_accent else None,
+    )
 
 
 def _is_leet_substitution(original_lower: str, perturbed_lower: str) -> bool:
@@ -110,23 +187,6 @@ def _is_leet_substitution(original_lower: str, perturbed_lower: str) -> bool:
             return False
         saw_substitution = True
     return saw_substitution
-
-
-def _has_separator(perturbed: str) -> bool:
-    return any(is_word_internal_separator(ch) for ch in perturbed[1:-1]) if len(perturbed) > 2 else False
-
-
-def _has_repetition(original: str, perturbed: str) -> bool:
-    if len(perturbed) <= len(original):
-        return False
-    return _collapse_repeats(perturbed.lower()) == _collapse_repeats(original.lower())
-
-
-def _has_accent(perturbed: str) -> bool:
-    # ASCII carries no diacritics, so folding it is the identity.
-    if perturbed.isascii():
-        return False
-    return fold_text(perturbed) != perturbed
 
 
 def _is_adjacent_swap(original_lower: str, perturbed_lower: str) -> bool:
@@ -147,6 +207,7 @@ def categorize_perturbation(
     use_transpositions: bool = True,
     *,
     distance: int | None = None,
+    features: tuple[TokenFeatures, TokenFeatures] | None = None,
 ) -> PerturbationCategory:
     """Classify how ``perturbed`` was derived from ``original``.
 
@@ -172,6 +233,13 @@ def categorize_perturbation(
     (OSA with transpositions, Levenshtein without), as Look Up does after
     matching.  It spares the distance tables and never changes the label.
 
+    ``features`` is for callers that already hold the two strings'
+    records, ``(token_features(original), token_features(perturbed))``, as
+    Look Up does: one per dictionary entry, cached on the entry, and one per
+    query.  Like ``distance`` it is precomputed input that spares work; it
+    never changes the label.  Without it both records are built here and
+    :func:`categorize_features` classifies the pair from them.
+
     >>> categorize_perturbation("democrats", "democRATs")
     <PerturbationCategory.EMPHASIS_CAPITALIZATION: 'emphasis_capitalization'>
     >>> categorize_perturbation("muslim", "mus-lim")
@@ -183,36 +251,65 @@ def categorize_perturbation(
     >>> categorize_perturbation("the", "teh", use_transpositions=False)
     <PerturbationCategory.MIXED: 'mixed'>
     """
-    if original == perturbed:
+    if features is None:
+        features = (token_features(original), token_features(perturbed))
+    return categorize_features(*features, use_transpositions, distance)
+
+
+def categorize_features(
+    original: TokenFeatures,
+    perturbed: TokenFeatures,
+    use_transpositions: bool,
+    distance: int | None,
+) -> PerturbationCategory:
+    """Classify a pair from the two strings' :class:`TokenFeatures`.
+
+    The one classifier behind :func:`categorize_perturbation`, whose
+    docstring gives the rules, their order and the meaning of
+    ``use_transpositions`` and ``distance``.
+    """
+    if original.text == perturbed.text:
         return PerturbationCategory.IDENTICAL
 
-    original_lower = original.lower()
-    perturbed_lower = perturbed.lower()
+    original_lower = original.lower
+    perturbed_lower = perturbed.lower
 
-    if _has_emphasis_capitalization(original, perturbed):
+    # Emphasis means a run of uppercase letters strictly inside the token
+    # (all-caps or capitalized-first-letter variants are ordinary styling).
+    if (
+        perturbed_lower == original_lower
+        and perturbed.inner_upper
+        and not perturbed.is_upper
+        and perturbed.text != original.text.capitalize()
+    ):
         return PerturbationCategory.EMPHASIS_CAPITALIZATION
 
-    if _has_separator(perturbed) and not _has_separator(original):
-        if strip_word_internal_separators(perturbed_lower) == strip_word_internal_separators(
-            original_lower
-        ):
-            return PerturbationCategory.SEPARATOR_INSERTION
+    if (
+        perturbed.has_separator
+        and not original.has_separator
+        and perturbed.stripped == original.stripped
+    ):
+        return PerturbationCategory.SEPARATOR_INSERTION
 
-    if _has_leet(perturbed) and not _has_leet(original):
-        if _is_leet_substitution(original_lower, perturbed_lower):
-            return PerturbationCategory.LEET_SUBSTITUTION
+    if (
+        perturbed.has_leet
+        and not original.has_leet
+        and _is_leet_substitution(original_lower, perturbed_lower)
+    ):
+        return PerturbationCategory.LEET_SUBSTITUTION
 
-    if _has_repetition(original, perturbed):
+    if len(perturbed.text) > len(original.text) and perturbed.collapsed == original.collapsed:
         return PerturbationCategory.CHARACTER_REPETITION
 
-    if _has_accent(perturbed) and not _has_accent(original):
-        if fold_text(perturbed_lower) == original_lower:
-            return PerturbationCategory.ACCENT_SUBSTITUTION
+    if (
+        perturbed.has_accent
+        and not original.has_accent
+        and perturbed.folded == original_lower
+    ):
+        return PerturbationCategory.ACCENT_SUBSTITUTION
 
-    if any(perturbed_lower.endswith(emote_core) for emote_core in (":)", ":(", "<3", ";)")):
-        stripped = perturbed_lower.rstrip(":;()<3-^_ ")
-        if stripped == original_lower:
-            return PerturbationCategory.EMOTICON_DECORATION
+    if perturbed.emoticon_stripped == original_lower:
+        return PerturbationCategory.EMOTICON_DECORATION
 
     if distance is None:
         distance = levenshtein_distance(original_lower, perturbed_lower)

@@ -54,7 +54,9 @@ from ..config import CrypTextConfig, DEFAULT_CONFIG
 from ..errors import DictionaryError, EncodingError
 from ..obs.registry import OBS
 from ..text.tokenizer import Tokenizer
+from ..text.unicode_fold import has_surrogate
 from ..text.wordlist import EnglishLexicon, default_lexicon
+from .categories import TokenFeatures, token_features
 from .soundex import CustomSoundex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (matcher imports us)
@@ -126,6 +128,19 @@ class DictionaryEntry:
         objects are shared through the dictionary's bucket caches).
         """
         return self.token.lower()
+
+    @cached_property
+    def features(self) -> TokenFeatures:
+        """The token's categorization record, computed once per entry.
+
+        Look Up classifies every non-identical match from this record and
+        the query's (see :func:`~repro.core.categories.categorize_perturbation`'s
+        ``features=``).  It is built at the entry's first such match, not
+        when its bucket compiles: most entries never match, and writes
+        recompile hot buckets often.  It lives as long as the entry, so it
+        goes when a write or an eviction drops the entry's compiled bucket.
+        """
+        return token_features(self.token, self.token_lower)
 
 
 @dataclass(frozen=True)
@@ -450,7 +465,10 @@ class PerturbationDictionary:
         content are dropped before anything is journaled; nothing is written
         when none remain.  ``op`` names the journal record (``"add_token"``
         for a single token, ``"learn_batch"`` otherwise); ``None`` applies a
-        record that is already journaled (replay).
+        record that is already journaled (replay).  A count below 1, or a
+        token or ``source`` holding a surrogate code point (which UTF-8,
+        hence the journal and every save, cannot encode), raises
+        :class:`DictionaryError` before anything is journaled or changed.
 
         The whole batch is one write: one ``dictionary.write`` hold, one
         journal record, one :attr:`version` bump with one compiled-bucket
@@ -458,10 +476,14 @@ class PerturbationDictionary:
         ``(level, key)`` pair (also added to ``changed_keys`` when given).
         Returns ``(occurrences recorded, documents inserted)``.
         """
+        if source is not None and has_surrogate(source):
+            raise DictionaryError(f"source {source!r} holds a surrogate code point")
         encoded: list[tuple[str, int, str, dict[str, str]]] = []
         for token, count in counts.items():
             if count < 1:
                 raise DictionaryError(f"count must be >= 1, got {count}")
+            if has_surrogate(token):
+                raise DictionaryError(f"token {token!r} holds a surrogate code point")
             keyed = self._keys_for(token)
             if keyed is not None:
                 encoded.append((token, count, *keyed))
@@ -1372,6 +1394,10 @@ class PerturbationDictionary:
             raise DictionaryError(f"malformed token document: {exc!r}") from exc
         if len(table) != len(ordered):
             raise DictionaryError("token documents repeat a token")
+        # One C-level pass over all tokens; a surrogate stays one on joining.
+        if has_surrogate("".join(table)):
+            token = next(token for token in table if has_surrogate(token))
+            raise DictionaryError(f"token {token!r} holds a surrogate code point")
         self._store = (
             table,
             {
@@ -1395,8 +1421,9 @@ class PerturbationDictionary:
         after the largest one.  Nothing is journaled, every observer drops
         its cache, and the next incremental save rewrites the snapshot in
         full, since the new state continues no saved chain.  A document
-        without a ``token``, ``keys`` or integer ``_id``, or a token listed
-        twice, raises :class:`DictionaryError` and changes nothing.
+        without a ``token``, ``keys`` or integer ``_id``, a token listed
+        twice, or a token holding a surrogate code point (which no save
+        could encode) raises :class:`DictionaryError` and changes nothing.
         """
         with self._write_lock:
             self._replace_store_locked(documents)

@@ -19,7 +19,12 @@ from typing import Hashable, Sequence
 
 from ..config import CrypTextConfig, DEFAULT_CONFIG
 from ..storage import TTLCache, make_key
-from .categories import PerturbationCategory, categorize_perturbation
+from .categories import (
+    PerturbationCategory,
+    TokenFeatures,
+    categorize_perturbation,
+    token_features,
+)
 from .dictionary import DictionaryEntry, PerturbationDictionary
 from .edit_distance import bounded_levenshtein, bounded_osa
 from .matcher import CompiledBucket
@@ -37,7 +42,7 @@ def sound_tag(phonetic_level: int, soundex_key: str) -> tuple[str, int, str]:
     return ("sound", phonetic_level, soundex_key)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerturbationMatch:
     """One token of ``P_x`` returned by Look Up."""
 
@@ -62,7 +67,7 @@ class PerturbationMatch:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LookupResult:
     """The full result of a Look Up query."""
 
@@ -155,44 +160,6 @@ class LookupEngine:
         )
 
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _finish_match(
-        query: str,
-        entry: DictionaryEntry,
-        distance: int,
-        transpositions: bool,
-        canonical_distance: bool,
-    ) -> PerturbationMatch:
-        """Build the match record once the edit distance is known.
-
-        The categorizer runs in the same canonical-distance mode the match
-        was filtered under, so a swap perturbation admitted as one OSA edit
-        is labelled ``adjacent_swap`` while the same pair admitted under
-        plain Levenshtein (two edits) reports ``mixed``.  A match filtered
-        on lowered raw spellings hands the categorizer its exact distance;
-        a canonical-form distance is a different quantity and is not passed.
-        """
-        is_original = entry.token == query
-        category = (
-            PerturbationCategory.IDENTICAL
-            if is_original
-            else categorize_perturbation(
-                query,
-                entry.token,
-                use_transpositions=transpositions,
-                distance=None if canonical_distance else distance,
-            )
-        )
-        return PerturbationMatch(
-            token=entry.token,
-            canonical=entry.canonical,
-            edit_distance=distance,
-            count=entry.count,
-            is_original=is_original,
-            is_word=entry.is_word,
-            category=category,
-        )
-
     def _execute(
         self,
         query: str,
@@ -279,11 +246,39 @@ class LookupEngine:
                 for entry in bucket
             )
         matches: dict[str, PerturbationMatch] = {}
+        # Built at the first non-identical match; each entry caches its own.
+        query_features: TokenFeatures | None = None
         for entry, distance in scored:
             if distance is None:
                 continue
-            match = self._finish_match(
-                query, entry, distance, transpositions, canonical_distance
+            is_original = entry.token == query
+            if is_original:
+                category = PerturbationCategory.IDENTICAL
+            else:
+                if query_features is None:
+                    query_features = token_features(query, query_lower)
+                # Categorized in the distance mode the match was filtered
+                # under, so a swap admitted as one OSA edit is labelled
+                # ``adjacent_swap`` and the same pair admitted under plain
+                # Levenshtein (two edits) ``mixed``.  A distance between
+                # lowered raw spellings is the categorizer's own; a
+                # canonical-form distance is a different quantity and is
+                # not passed.
+                category = categorize_perturbation(
+                    query,
+                    entry.token,
+                    use_transpositions=transpositions,
+                    distance=None if canonical_distance else distance,
+                    features=(query_features, entry.features),
+                )
+            match = PerturbationMatch(
+                token=entry.token,
+                canonical=entry.canonical,
+                edit_distance=distance,
+                count=entry.count,
+                is_original=is_original,
+                is_word=entry.is_word,
+                category=category,
             )
             key = match.token if case_sensitive else match.token.lower()
             existing = matches.get(key)

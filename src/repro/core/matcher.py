@@ -97,8 +97,11 @@ def _build_trie(items: Sequence[tuple[int, str]]) -> _TrieNode:
 def _freeze(root: _TrieNode) -> None:
     """Compute per-subtree terminal depth bounds and freeze child lists.
 
-    Iterative post-order so pathological one-character-per-node chains
-    (very long tokens) cannot hit the recursion limit.
+    Each node's build-time ``children`` dict is deleted once its ``items``
+    tuple is built, so a frozen trie holds no dict per node (nothing reads
+    ``children`` after the freeze).  Iterative post-order so pathological
+    one-character-per-node chains (very long tokens) cannot hit the
+    recursion limit.
     """
     order: list[tuple[_TrieNode, int]] = []
     stack: list[tuple[_TrieNode, int]] = [(root, 0)]
@@ -117,7 +120,7 @@ def _freeze(root: _TrieNode) -> None:
         node.min_depth = depth if minimum is None else minimum
         node.max_depth = depth if maximum is None else maximum
         node.items = tuple(node.children.items())
-        node.children = {}
+        del node.children
 
 
 #: Serialized names of the trie variants, keyed by (canonical, english_only).

@@ -70,7 +70,7 @@ class CacheStats:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class _Entry:
     value: Any
     expires_at: float

@@ -131,18 +131,30 @@ def visual_equivalence_class(char: str) -> str:
     return lowered
 
 
+#: :func:`visual_equivalence_class` of every ASCII character, as a
+#: ``str.translate`` table: ASCII text folds in one C-level pass.
+_ASCII_VISUAL_TABLE = str.maketrans(
+    {chr(code): visual_equivalence_class(chr(code)) for code in range(128)}
+)
+
+
 def fold_visual_characters(text: str) -> str:
     """Fold every character of ``text`` onto its visual equivalence class.
 
     The output is lowercase and contains no leet/homoglyph characters, which
     is exactly the preprocessing the customized Soundex applies so that
-    "dem0cr@ts" and "democrats" receive the same encoding.
+    "dem0cr@ts" and "democrats" receive the same encoding.  ASCII text goes
+    through a 128-entry ``str.translate`` table built from
+    :func:`visual_equivalence_class`; other text is folded per character.
+    Both give the per-character definition.
 
     >>> fold_visual_characters("dem0cr@ts")
     'democrats'
     >>> fold_visual_characters("suic1de")
     'suicide'
     """
+    if text.isascii():
+        return text.translate(_ASCII_VISUAL_TABLE)
     return "".join(visual_equivalence_class(ch) for ch in text)
 
 

@@ -74,6 +74,30 @@ class TestAddToken:
         with pytest.raises(DictionaryError):
             PerturbationDictionary().add_token("vaccine", count=0)
 
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda d: d.add_token("vacc\ud800ne"),
+            lambda d: d.add_token("vaccine", source="twitter\udc00"),
+            lambda d: d.seed_lexicon(["vaccine", "\udfffvacc1ne"]),
+        ],
+        ids=["token", "source", "batch"],
+    )
+    def test_surrogate_text_is_refused_before_anything_changes(self, tmp_path, write):
+        # UTF-8 cannot encode a surrogate, so such a token would break the
+        # journal, the fingerprint and every later save.
+        dictionary = PerturbationDictionary.from_corpus(["the vaccine mandate"])
+        dictionary.attach_wal(ChangeLog(tmp_path / "wal"))
+        before = dictionary.documents()
+        state, version = dictionary.dirty_state(), dictionary.version
+        with pytest.raises(DictionaryError, match="surrogate"):
+            write(dictionary)
+        assert dictionary.documents() == before
+        assert (dictionary.dirty_state(), dictionary.version) == (state, version)
+        assert list(dictionary.wal.iter_records()) == []
+        dictionary.content_fingerprint()
+        dictionary.save_snapshot(tmp_path / "snapshot.json")
+
     def test_is_word_flag(self):
         dictionary = PerturbationDictionary()
         dictionary.add_token("vaccine")
@@ -166,6 +190,17 @@ class TestReplaceDocuments:
             with pytest.raises(DictionaryError):
                 dictionary.replace_documents(documents)
         assert dictionary.documents() == before and dictionary.version == version
+
+    def test_a_surrogate_token_changes_nothing(self):
+        dictionary = PerturbationDictionary.from_corpus(["the vaccine mandate"])
+        before = dictionary.documents()
+        state, version = dictionary.dirty_state(), dictionary.version
+        other = PerturbationDictionary.from_corpus(["the vaccine mandate"]).documents()
+        other[-1]["token"] = "mand\ud800te"
+        with pytest.raises(DictionaryError, match="surrogate"):
+            dictionary.replace_documents(other)
+        assert dictionary.documents() == before
+        assert (dictionary.dirty_state(), dictionary.version) == (state, version)
 
 
 class TestBucketQueries:

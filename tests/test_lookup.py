@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro import CrypTextConfig
+from repro.core import lookup as lookup_module
 from repro.core.dictionary import PerturbationDictionary
 from repro.core.lookup import LookupEngine
 from repro.storage import TTLCache
@@ -211,3 +216,77 @@ class TestTranspositionOverride:
         assert batched == sequential
         (plain,) = engine.look_up_batch(["teh"])
         assert "the" not in plain.tokens
+
+
+class TestCategorizeOncePerMatch:
+    """Look Up calls ``repro.core.lookup.categorize_perturbation`` once per
+    non-identical match, by that name (the per-layer tracer wraps it), and
+    hands it the query's record and the entry's cached one."""
+
+    QUERIES = ("republicans", "democrats", "vaccine", "repubLIEcans")
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "linear"])
+    def test_one_call_per_non_identical_match(self, monkeypatch, compiled):
+        config = CrypTextConfig(compiled_buckets=compiled, cache_enabled=False)
+        dictionary = PerturbationDictionary.from_corpus(list(TABLE1_SENTENCES), config=config)
+        engine = LookupEngine(dictionary, config=config)
+        calls = []
+        categorize = lookup_module.categorize_perturbation
+
+        def counting(original, perturbed, *args, **kwargs):
+            calls.append((original, perturbed, kwargs["features"]))
+            return categorize(original, perturbed, *args, **kwargs)
+
+        monkeypatch.setattr(lookup_module, "categorize_perturbation", counting)
+        matched = 0
+        for query in self.QUERIES:
+            calls.clear()
+            result = engine.look_up(query)
+            perturbations = sorted(match.token for match in result.perturbations)
+            matched += len(perturbations)
+            assert sorted(perturbed for _, perturbed, _ in calls) == perturbations
+            # One query record per query, describing the query; each entry
+            # record describes its token.
+            assert len({id(features[0]) for _, _, features in calls}) <= 1
+            for original, perturbed, (query_record, entry_record) in calls:
+                assert (original, query_record.text) == (query, query)
+                assert entry_record.text == perturbed
+        assert matched >= 4
+
+    def test_compiled_entries_keep_their_record(self, monkeypatch):
+        config = CrypTextConfig(cache_enabled=False)
+        dictionary = PerturbationDictionary.from_corpus(list(TABLE1_SENTENCES), config=config)
+        engine = LookupEngine(dictionary, config=config)
+        seen = []
+        categorize = lookup_module.categorize_perturbation
+
+        def recording(original, perturbed, *args, **kwargs):
+            seen.append(kwargs["features"][1])
+            return categorize(original, perturbed, *args, **kwargs)
+
+        monkeypatch.setattr(lookup_module, "categorize_perturbation", recording)
+        first = engine.look_up("republicans")
+        records, seen[:] = list(seen), []
+        assert engine.look_up("republicans") == first
+        assert records and [id(record) for record in seen] == [id(record) for record in records]
+
+
+class TestResultRecords:
+    """Matches and results are slotted, frozen, hashable value records."""
+
+    def test_frozen_hashable_and_equal_by_value(self):
+        config = CrypTextConfig(cache_enabled=False)
+        dictionary = PerturbationDictionary.from_corpus(list(TABLE1_SENTENCES), config=config)
+        engine = LookupEngine(dictionary, config=config)
+        result, twin = engine.look_up("republicans"), engine.look_up("republicans")
+        assert result is not twin and result == twin and hash(result) == hash(twin)
+        match = result.matches[0]
+        assert match == twin.matches[0] and hash(match) == hash(twin.matches[0])
+        assert len({result, twin}) == 1
+        for record, field_name in ((result, "query"), (match, "count")):
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field_name, getattr(record, field_name))
+            assert copy.copy(record) == record
+            assert pickle.loads(pickle.dumps(record)) == record
+        assert dataclasses.replace(match, count=match.count + 1) != match

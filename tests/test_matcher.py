@@ -265,6 +265,18 @@ class TestEdgeCases:
         assert list(compiled) == entries
         assert compiled[1] is entries[1]
 
+    def test_frozen_nodes_keep_no_children_dict(self):
+        compiled = CompiledBucket([make_entry(t) for t in ["cab", "cat", "cart", ""]])
+        compiled.match("cat", 1)
+        stack = [compiled._trie(canonical=False)]
+        nodes = 0
+        while stack:
+            node = stack.pop()
+            nodes += 1
+            assert not hasattr(node, "children")
+            stack.extend(child for _, child in node.items)
+        assert nodes == 7  # the root, "c", "ca", "cab", "cat", "car", "cart"
+
     def test_match_tokens_preserves_bucket_order(self):
         entries = [make_entry(t) for t in ["cab", "cat", "car", "cart"]]
         compiled = CompiledBucket(entries)

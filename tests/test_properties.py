@@ -19,7 +19,7 @@ from repro.social import SocialPlatform
 from repro.storage import TTLCache
 from repro.text.charmap import fold_visual_characters, visual_equivalence_class
 from repro.text.tokenizer import Tokenizer, detokenize
-from repro.text.unicode_fold import fold_text
+from repro.text.unicode_fold import fold_accents, fold_text
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -142,6 +142,14 @@ class TestCharmapProperties:
     @given(st.text(max_size=30))
     def test_fold_text_never_raises(self, text):
         fold_text(text)
+
+    @given(st.one_of(st.text(max_size=30), st.text(st.characters(max_codepoint=127))))
+    def test_folds_equal_their_per_character_definitions(self, text):
+        # ASCII text takes a fast path in both folds; other text does not.
+        assert fold_text(text) == "".join(fold_accents(char) for char in text)
+        assert fold_visual_characters(text) == "".join(
+            visual_equivalence_class(char) for char in text
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ import pytest
 
 from repro import CrypText, CrypTextConfig
 from repro.api import AsyncCrypTextService, CrypTextService, RateLimiter
+from repro.api.service import ServiceResponse
 from repro.api.async_service import INLINE_MAX_CHARS, INLINE_MAX_ITEMS
 from repro.errors import (
     ConfigurationError,
@@ -969,6 +970,75 @@ class TestAsyncFrontProtocolEdges:
                 writer.close()
                 assert b" 400 " in raw.split(b"\r\n", 1)[0]
                 assert b"request body too large" in raw
+            finally:
+                await front.stop()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize(
+        "path, payload",
+        [
+            ("/v1/lookup", {"queries": ["vacc\ud800ne"]}),
+            ("/v1/normalize", {"texts": ["the vacc\udc00ne mandate"]}),
+            ("/v1/batch/lookup", {"queries": ["vaccine", "mandate\ud83d"]}),
+        ],
+        ids=["lookup", "normalize", "batch-lookup"],
+    )
+    def test_an_unpaired_surrogate_escape_is_a_400(self, tmp_path, path, payload):
+        # The body is valid JSON, but no answer echoing the surrogate could
+        # be encoded as UTF-8; the front used to drop the connection.
+        service, token = _plain_service(tmp_path)
+        front = AsyncCrypTextService(service, reader_threads=1)
+
+        async def scenario():
+            host, port = await front.start()
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                status, body, headers = await _request(
+                    reader, writer, "POST", path, token, payload
+                )
+                rest = await reader.read(-1)  # EOF proves the server closed
+                writer.close()
+                assert status == 400 and "unpaired surrogate" in body["error"]
+                assert headers["connection"] == "close" and rest == b""
+                # A paired escape decodes to one character and is served.
+                reader, writer = await asyncio.open_connection(host, port)
+                status, body, _headers = await _request(
+                    reader,
+                    writer,
+                    "POST",
+                    "/v1/lookup",
+                    token,
+                    {"queries": ["vacc\ud83d\ude00ne"]},
+                    close=True,
+                )
+                writer.close()
+                assert status == 200 and "vacc\U0001f600ne" in body["results"]
+            finally:
+                await front.stop()
+
+        asyncio.run(scenario())
+
+    def test_an_answer_that_cannot_be_encoded_is_a_500(self, tmp_path):
+        service, token = _plain_service(tmp_path)
+
+        def unencodable_lookup(*args, **kwargs):
+            return ServiceResponse(status=200, body={"token": "vacc\udc00ne"})
+
+        service.lookup = unencodable_lookup  # type: ignore[method-assign]
+        front = AsyncCrypTextService(service, reader_threads=1)
+
+        async def scenario():
+            host, port = await front.start()
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                status, body, headers = await _request(
+                    reader, writer, "POST", "/v1/lookup", token, {"queries": ["vaccine"]}
+                )
+                rest = await reader.read(-1)
+                writer.close()
+                assert status == 500 and body == {"error": "response could not be encoded"}
+                assert headers["connection"] == "close" and rest == b""
             finally:
                 await front.stop()
 
